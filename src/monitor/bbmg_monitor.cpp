@@ -12,8 +12,8 @@
 // (ingest latency, client RTT, client error ratio) as multi-window
 // burn rates.  Alert transitions are structured-logged as
 // "monitor.slo_transition"; the current verdict is served on --port
-// (default 7350; 0 picks an ephemeral port and prints it) to any v5 peer —
-// `bbmg_client health <host> <port>` renders it.
+// (default 7350; 0 picks an ephemeral port and prints it) to any protocol
+// peer — `bbmg_client health <host> <port>` renders it.
 //
 // Modes: default runs as a daemon printing a one-line summary per
 // interval; --dash redraws a live terminal view instead; --once does a

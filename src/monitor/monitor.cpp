@@ -160,12 +160,7 @@ void Monitor::serve_connection(int fd) {
     while (auto frame = net::read_frame(fd, decoder)) {
       switch (frame->type) {
         case FrameType::Hello: {
-          const HelloMsg hello = HelloMsg::decode(*frame);
-          HelloMsg ack;
-          ack.version = hello.version < kServeProtocolVersion
-                            ? hello.version
-                            : kServeProtocolVersion;
-          net::write_frame(fd, ack.to_frame(FrameType::HelloAck));
+          net::write_frame(fd, hello_ack(*frame));
           break;
         }
         case FrameType::HealthRequest: {

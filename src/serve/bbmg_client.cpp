@@ -17,7 +17,7 @@
 //       fetch a bbmg_monitor's SLO verdict (overall state, per-objective
 //       burn rates, per-endpoint freshness); exits 0/1/2 for ok/warn/page.
 //   bbmg_client vspace <host> <port> <session-id> [--json]
-//       live version-space introspection of a session (v7 servers):
+//       live version-space introspection of a session:
 //       hypothesis count and peak, estimated frontier bytes, heap churn
 //       charged to learning, and the branching-factor / scan-length
 //       histograms sampled inside the learner.
@@ -39,9 +39,9 @@
 // numbers, and connection failures retry with exponential backoff, resume
 // the session, and resend whatever the server had not yet made durable.
 // With `replay ... --trace <spans.bin>` every period send mints a trace
-// id, carries it to the server as a v3 envelope, and the client's own
-// spans are saved to <spans.bin> — already shifted onto the server's
-// clock, so `trace --merge` needs no cross-file time math.
+// id, carries it to the server as a TraceContext envelope, and the
+// client's own spans are saved to <spans.bin> — already shifted onto the
+// server's clock, so `trace --merge` needs no cross-file time math.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -222,25 +222,11 @@ int cmd_replay(int argc, char** argv) {
         obs::SpanRing::instance().drain();
     out.spans.reserve(local.size());
     for (const obs::SpanRecord& r : local) {
-      WireSpan w;
-      w.name = r.name != nullptr ? r.name : "";
-      w.tid = r.thread;
+      WireSpan w = WireSpan::from(r);
       const std::int64_t shifted = static_cast<std::int64_t>(r.start_ns) + offset;
       w.start_ns = shifted > 0 ? static_cast<std::uint64_t>(shifted) : 0;
-      w.duration_ns = r.duration_ns;
-      w.trace_id = r.trace_id;
-      w.span_id = r.span_id;
-      w.parent_id = r.parent_id;
-      w.flow = r.flow;
-      w.cycles = r.cycles;
-      w.instructions = r.instructions;
-      w.cache_misses = r.cache_misses;
-      w.branch_misses = r.branch_misses;
       out.spans.push_back(std::move(w));
     }
-    // Span files are read back by this binary only, so always keep the
-    // hardware-counter trailer.
-    out.include_hw = true;
     save_spans_file(span_file, out);
     std::printf("saved %zu client spans -> %s (server-clock aligned)\n",
                 out.spans.size(), span_file.c_str());

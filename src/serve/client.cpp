@@ -15,13 +15,8 @@ void ServeClient::connect(const std::string& host, std::uint16_t port) {
     net::set_socket_timeout(fd_, request_timeout_ms_);
   }
   try {
-    net::write_frame(fd_, HelloMsg{}.to_frame(FrameType::Hello));
-    const HelloMsg ack = HelloMsg::decode(expect_reply(FrameType::HelloAck));
-    // The server echoes the negotiated version; min() guards against a
-    // peer that echoes its own maximum instead.
-    peer_version_ = ack.version < kServeProtocolVersion
-                        ? ack.version
-                        : kServeProtocolVersion;
+    (void)HelloMsg::decode(
+        call(HelloMsg{}.to_frame(FrameType::Hello), FrameType::HelloAck));
   } catch (...) {
     disconnect();
     throw;
@@ -36,8 +31,13 @@ void ServeClient::disconnect() {
   }
 }
 
-Frame ServeClient::expect_reply(FrameType expected) {
+Frame ServeClient::call(const Frame& request, FrameType expected,
+                        const obs::TraceContext& ctx) {
   BBMG_REQUIRE(fd_ >= 0, "client not connected");
+  std::vector<std::uint8_t> bytes;
+  append_ctx_frame(bytes, ctx);
+  append_frame(bytes, request);
+  net::write_all(fd_, bytes.data(), bytes.size());
   std::optional<Frame> frame = net::read_frame(fd_, decoder_);
   if (!frame.has_value()) {
     raise("client: server closed the connection while awaiting a reply");
@@ -46,6 +46,9 @@ Frame ServeClient::expect_reply(FrameType expected) {
     const ErrorReplyMsg err = ErrorReplyMsg::decode(*frame);
     if (err.code == WireErrorCode::Fenced) throw FencedError(err.message);
     throw ServerError(err.code, err.message);
+  }
+  if (frame->type == FrameType::Redirect) {
+    throw Redirected(RedirectMsg::decode(*frame));
   }
   if (frame->type != expected) {
     raise("client: unexpected reply frame type");
@@ -56,33 +59,19 @@ Frame ServeClient::expect_reply(FrameType expected) {
 std::uint32_t ServeClient::open_session(
     const std::vector<std::string>& task_names, std::uint32_t bound,
     SanitizePolicy policy, std::uint32_t snapshot_interval) {
-  OpenSessionMsg msg;
-  msg.task_names = task_names;
-  msg.bound = bound;
-  msg.policy = policy;
-  msg.snapshot_interval = snapshot_interval;
-  net::write_frame(fd_, msg.to_frame());
-  return SessionRefMsg::decode(expect_reply(FrameType::SessionOpened)).session;
+  const OpenSessionMsg msg{task_names, bound, policy, snapshot_interval};
+  return SessionRefMsg::decode(call(msg.to_frame(), FrameType::SessionOpened))
+      .session;
 }
 
 void ServeClient::open_session_as(std::uint32_t session,
                                   const std::vector<std::string>& task_names,
                                   std::uint32_t bound, SanitizePolicy policy,
                                   std::uint32_t snapshot_interval) {
-  BBMG_REQUIRE(fd_ >= 0, "client not connected");
-  BBMG_REQUIRE(peer_version_ >= 4,
-               "open_session_as requires a v4 peer (server is v" +
-                   std::to_string(peer_version_) + ")");
-  OpenSessionAsMsg msg;
-  msg.session = session;
-  msg.task_names = task_names;
-  msg.bound = bound;
-  msg.policy = policy;
-  msg.snapshot_interval = snapshot_interval;
-  msg.epoch = stamped_epoch();
-  net::write_frame(fd_, msg.to_frame());
+  const OpenSessionAsMsg msg{session, task_names,        bound,
+                             policy,  snapshot_interval, write_epoch_};
   const SessionRefMsg ref =
-      SessionRefMsg::decode(expect_reply(FrameType::SessionOpened));
+      SessionRefMsg::decode(call(msg.to_frame(), FrameType::SessionOpened));
   BBMG_REQUIRE(ref.session == session,
                "open_session_as: server opened a different session id");
 }
@@ -91,60 +80,25 @@ std::uint32_t ServeClient::open_cluster_session(
     const std::string& key, const std::vector<std::string>& task_names,
     std::uint32_t bound, SanitizePolicy policy,
     std::uint32_t snapshot_interval) {
-  BBMG_REQUIRE(fd_ >= 0, "client not connected");
-  BBMG_REQUIRE(peer_version_ >= 4,
-               "open_cluster_session requires a v4 peer (server is v" +
-                   std::to_string(peer_version_) + ")");
-  OpenClusterSessionMsg msg;
-  msg.key = key;
-  msg.task_names = task_names;
-  msg.bound = bound;
-  msg.policy = policy;
-  msg.snapshot_interval = snapshot_interval;
-  msg.epoch = stamped_epoch();
-  net::write_frame(fd_, msg.to_frame());
-  std::optional<Frame> frame = net::read_frame(fd_, decoder_);
-  if (!frame.has_value()) {
-    raise("client: server closed the connection while awaiting a reply");
-  }
-  if (frame->type == FrameType::Redirect) {
-    throw Redirected(RedirectMsg::decode(*frame));
-  }
-  if (frame->type == FrameType::ErrorReply) {
-    const ErrorReplyMsg err = ErrorReplyMsg::decode(*frame);
-    if (err.code == WireErrorCode::Fenced) throw FencedError(err.message);
-    throw ServerError(err.code, err.message);
-  }
-  if (frame->type != FrameType::SessionOpened) {
-    raise("client: unexpected reply frame type");
-  }
-  return SessionRefMsg::decode(*frame).session;
+  const OpenClusterSessionMsg msg{key,    task_names,        bound,
+                                  policy, snapshot_interval, write_epoch_};
+  return SessionRefMsg::decode(call(msg.to_frame(), FrameType::SessionOpened))
+      .session;
 }
 
 ClusterMapResponseMsg ServeClient::fetch_cluster_map() {
-  BBMG_REQUIRE(fd_ >= 0, "client not connected");
-  BBMG_REQUIRE(peer_version_ >= 4,
-               "cluster map requires a v4 peer (server is v" +
-                   std::to_string(peer_version_) + ")");
-  net::write_frame(fd_, ClusterMapRequestMsg{}.to_frame());
-  return ClusterMapResponseMsg::decode(
-      expect_reply(FrameType::ClusterMapResponse));
+  return ClusterMapResponseMsg::decode(call(ClusterMapRequestMsg{}.to_frame(),
+                                            FrameType::ClusterMapResponse));
 }
 
 MapUpdateAckMsg ServeClient::push_map_update(const ClusterMapResponseMsg& map) {
-  BBMG_REQUIRE(fd_ >= 0, "client not connected");
-  BBMG_REQUIRE(peer_version_ >= 6,
-               "map update requires a v6 peer (server is v" +
-                   std::to_string(peer_version_) + ")");
-  MapUpdateMsg msg;
-  msg.map = map;
-  net::write_frame(fd_, msg.to_frame());
-  return MapUpdateAckMsg::decode(expect_reply(FrameType::MapUpdateAck));
+  return MapUpdateAckMsg::decode(
+      call(MapUpdateMsg{map}.to_frame(), FrameType::MapUpdateAck));
 }
 
 void ServeClient::append_ctx_frame(std::vector<std::uint8_t>& bytes,
-                                   const obs::TraceContext& ctx) const {
-  if (!ctx.active() || peer_version_ < 3) return;
+                                   const obs::TraceContext& ctx) {
+  if (!ctx.active()) return;
   append_frame(bytes, TraceContextMsg{ctx.trace_id, ctx.span_id}.to_frame());
 }
 
@@ -153,23 +107,19 @@ void ServeClient::send_period(std::uint32_t session,
                               std::uint64_t seq,
                               const obs::TraceContext& ctx) {
   BBMG_REQUIRE(fd_ >= 0, "client not connected");
-  EventsMsg msg;
-  msg.session = session;
-  msg.events = events;
   // One write for all frames: the envelope, the period payload, and its
   // delimiter.
   std::vector<std::uint8_t> bytes;
   append_ctx_frame(bytes, ctx);
-  append_frame(bytes, msg.to_frame());
-  append_frame(bytes, EndPeriodMsg{session, seq, stamped_epoch()}.to_frame());
+  append_frame(bytes, EventsMsg{session, events}.to_frame());
+  append_frame(bytes, EndPeriodMsg{session, seq, write_epoch_}.to_frame());
   net::write_all(fd_, bytes.data(), bytes.size());
 }
 
 std::uint64_t ServeClient::resume(std::uint32_t session) {
-  BBMG_REQUIRE(fd_ >= 0, "client not connected");
-  net::write_frame(fd_, SessionRefMsg{session}.to_frame(FrameType::Resume));
-  const ResumeAckMsg ack =
-      ResumeAckMsg::decode(expect_reply(FrameType::ResumeAck));
+  const ResumeAckMsg ack = ResumeAckMsg::decode(
+      call(SessionRefMsg{session}.to_frame(FrameType::Resume),
+           FrameType::ResumeAck));
   BBMG_REQUIRE(ack.session == session, "resume: session mismatch in ack");
   return ack.high_water;
 }
@@ -184,17 +134,10 @@ std::size_t ServeClient::send_trace(std::uint32_t session, const Trace& trace) {
 WireSnapshot ServeClient::query(std::uint32_t session, bool drain,
                                 const std::vector<Event>* probe,
                                 const obs::TraceContext& ctx) {
-  BBMG_REQUIRE(fd_ >= 0, "client not connected");
-  QueryMsg msg;
-  msg.session = session;
-  msg.drain = drain;
+  QueryMsg msg{session, drain, std::nullopt};
   if (probe != nullptr) msg.probe = *probe;
-  std::vector<std::uint8_t> bytes;
-  append_ctx_frame(bytes, ctx);
-  append_frame(bytes, msg.to_frame());
-  net::write_all(fd_, bytes.data(), bytes.size());
-  const ModelReplyMsg reply =
-      ModelReplyMsg::decode(expect_reply(FrameType::ModelReply));
+  const ModelReplyMsg reply = ModelReplyMsg::decode(
+      call(msg.to_frame(), FrameType::ModelReply, ctx));
   WireSnapshot snap;
   snap.session = reply.session;
   snap.health = static_cast<HealthState>(reply.health);
@@ -212,49 +155,31 @@ WireSnapshot ServeClient::query(std::uint32_t session, bool drain,
 }
 
 obs::MetricsSnapshot ServeClient::fetch_metrics() {
-  BBMG_REQUIRE(fd_ >= 0, "client not connected");
-  net::write_frame(fd_, MetricsRequestMsg{}.to_frame());
-  return MetricsResponseMsg::decode(expect_reply(FrameType::MetricsResponse))
+  return MetricsResponseMsg::decode(call(MetricsRequestMsg{}.to_frame(),
+                                         FrameType::MetricsResponse))
       .snapshot;
 }
 
 TraceDumpResponseMsg ServeClient::fetch_trace_dump(bool drain, bool flight) {
-  BBMG_REQUIRE(fd_ >= 0, "client not connected");
-  BBMG_REQUIRE(peer_version_ >= 3,
-               "trace dump requires a v3 peer (server is v" +
-                   std::to_string(peer_version_) + ")");
-  TraceDumpRequestMsg req;
-  req.drain = drain;
-  req.flight = flight;
-  net::write_frame(fd_, req.to_frame());
   return TraceDumpResponseMsg::decode(
-      expect_reply(FrameType::TraceDumpResponse));
+      call(TraceDumpRequestMsg{drain, flight}.to_frame(),
+           FrameType::TraceDumpResponse));
 }
 
 HealthResponseMsg ServeClient::fetch_health() {
-  BBMG_REQUIRE(fd_ >= 0, "client not connected");
-  BBMG_REQUIRE(peer_version_ >= 5,
-               "health requires a v5 peer (server is v" +
-                   std::to_string(peer_version_) + ")");
-  net::write_frame(fd_, HealthRequestMsg{}.to_frame());
-  return HealthResponseMsg::decode(expect_reply(FrameType::HealthResponse));
+  return HealthResponseMsg::decode(
+      call(HealthRequestMsg{}.to_frame(), FrameType::HealthResponse));
 }
 
 VspaceResponseMsg ServeClient::fetch_vspace(std::uint32_t session) {
-  BBMG_REQUIRE(fd_ >= 0, "client not connected");
-  BBMG_REQUIRE(peer_version_ >= 7,
-               "vspace requires a v7 peer (server is v" +
-                   std::to_string(peer_version_) + ")");
-  VspaceRequestMsg req;
-  req.session = session;
-  net::write_frame(fd_, req.to_frame());
-  return VspaceResponseMsg::decode(expect_reply(FrameType::VspaceResponse));
+  return VspaceResponseMsg::decode(
+      call(VspaceRequestMsg{session}.to_frame(), FrameType::VspaceResponse));
 }
 
 void ServeClient::close_session(std::uint32_t session) {
-  BBMG_REQUIRE(fd_ >= 0, "client not connected");
-  net::write_frame(fd_, SessionRefMsg{session}.to_frame(FrameType::CloseSession));
-  (void)SessionRefMsg::decode(expect_reply(FrameType::SessionClosed));
+  (void)SessionRefMsg::decode(
+      call(SessionRefMsg{session}.to_frame(FrameType::CloseSession),
+           FrameType::SessionClosed));
 }
 
 }  // namespace bbmg

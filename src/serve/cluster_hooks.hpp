@@ -46,13 +46,13 @@ class ClusterHooks {
   [[nodiscard]] virtual std::uint64_t bounded_high_water(
       std::uint32_t session, std::uint64_t local_high_water) = 0;
 
-  /// This node's current cluster-map epoch (v6 control plane).
+  /// This node's current cluster-map epoch (control plane).
   [[nodiscard]] virtual std::uint64_t epoch() const = 0;
 
   /// Epoch fence for session-mutating requests: true admits the write,
   /// false means the stamped epoch is below this node's fence floor and
-  /// the server must answer ErrorReply(Fenced).  Epoch 0 (legacy,
-  /// unfenced writer) is always admitted.
+  /// the server must answer ErrorReply(Fenced).  Epoch 0 (a map-less
+  /// writer) is always admitted.
   [[nodiscard]] virtual bool admit_write(std::uint64_t epoch) = 0;
 
   /// Install a controller-pushed map (MapUpdate).  Returns true when the

@@ -8,11 +8,15 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <sstream>
+#include <thread>
 
 #include "common/error.hpp"
+#include "obs/log.hpp"
+#include "serve/serve_metrics.hpp"
 
 // Linux spells the don't-raise-SIGPIPE flag MSG_NOSIGNAL on send();
 // macOS/BSD instead set SO_NOSIGPIPE once per socket.  Normalize so the
@@ -26,6 +30,22 @@
 namespace bbmg::net {
 
 namespace {
+
+/// Pause before retrying a failed accept(): long enough that a full fd
+/// table does not spin the accept thread, short enough that service
+/// resumes within milliseconds once descriptors are freed.
+constexpr std::chrono::milliseconds kAcceptRetryBackoff{5};
+
+/// False once the listener has been shut down or closed.  accept() can
+/// report EMFILE before it notices a shut-down socket, so the retry path
+/// asks the socket itself.
+bool still_listening(int listen_fd) {
+  int listening = 0;
+  socklen_t len = sizeof(listening);
+  return ::getsockopt(listen_fd, SOL_SOCKET, SO_ACCEPTCONN, &listening,
+                      &len) == 0 &&
+         listening != 0;
+}
 
 [[noreturn]] void raise_errno(const std::string& what) {
   std::ostringstream os;
@@ -94,9 +114,18 @@ std::optional<int> accept_connection(int listen_fd) {
       set_nosigpipe(fd);
       return fd;
     }
-    if (errno == EINTR) continue;
+    const int err = errno;
+    if (err == EINTR) continue;
     // EBADF/EINVAL: the listener was closed or shut down — clean stop.
-    return std::nullopt;
+    if (err == EBADF || err == EINVAL) return std::nullopt;
+    // Anything else (EMFILE, ENFILE, ENOBUFS, ENOMEM, ECONNABORTED, ...)
+    // is a transient failure of this one accept, not of the listener:
+    // count it, back off, and keep accepting.
+    ServeMetrics::get().accept_errors.inc();
+    BBMG_LOG_WARN("serve.accept_error", std::strerror(err),
+                  {{"errno", err}, {"listen_fd", listen_fd}});
+    std::this_thread::sleep_for(kAcceptRetryBackoff);
+    if (!still_listening(listen_fd)) return std::nullopt;
   }
 }
 

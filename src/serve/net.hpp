@@ -43,7 +43,10 @@ struct Listener {
 
 [[nodiscard]] Listener listen_tcp(std::uint16_t port, int backlog);
 
-/// Accept one connection; nullopt when the listener was shut down.
+/// Accept one connection; nullopt when the listener was shut down or
+/// closed.  Any other accept() failure (fd exhaustion, an aborted
+/// handshake) is counted in bbmg_serve_accept_errors_total, logged, and
+/// retried after a short back-off, so the accept loop never dies silently.
 [[nodiscard]] std::optional<int> accept_connection(int listen_fd);
 
 [[nodiscard]] int connect_tcp(const std::string& host, std::uint16_t port);

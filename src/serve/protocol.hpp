@@ -3,12 +3,15 @@
 //
 //   length u32 (payload bytes) | type u8 | payload
 //
-// and a connection opens with a Hello/HelloAck pair carrying the protocol
-// magic and version, so a peer speaking the wrong protocol (or a text
-// client hitting the port) is rejected on the first frame.  All encoding
-// is little-endian; decode is bounds-checked and throws bbmg::Error on
-// truncated or malformed payloads — a garbage frame can kill its own
-// connection, never the server.
+// and every payload has one fixed layout.  There is exactly one protocol
+// version: every client, follower, monitor and controller is built from
+// the same tree as the daemons it talks to, so a connection opens with a
+// Hello/HelloAck pair that carries the magic and kServeProtocolVersion and
+// a peer speaking anything else — another version, another protocol, a
+// text client hitting the port — is refused on the first frame.  All
+// encoding is little-endian; decode is bounds-checked and throws
+// bbmg::Error on truncated, oversized, trailing-garbage or unknown-type
+// frames — a garbage frame can kill its own connection, never the server.
 //
 // Conversation (client-driven, one reply per request except Events and
 // EndPeriod, which are fire-and-forget so period streaming is not
@@ -19,38 +22,34 @@
 //   Events           (accumulates the current period, no reply)
 //   EndPeriod        (submits the period, no reply; lossless — the server
 //                     blocks on its shard queue, so TCP itself carries the
-//                     backpressure to the producer)
+//                     backpressure to the producer.  Carries a client
+//                     sequence number, 0 = unsequenced, so the server can
+//                     drop duplicates resent after a reconnect)
 //   Query            -> ModelReply | ErrorReply  (optionally drains first,
 //                     optionally carries a probe period to check)
 //   CloseSession     -> SessionClosed | ErrorReply
 //   MetricsRequest   -> MetricsResponse  (process-wide observability
 //                     snapshot: every registered counter/gauge/histogram)
-//   Resume           -> ResumeAck | ErrorReply  (v2: reports the server's
-//                     durable high-water mark for the session so a
-//                     reconnecting client knows which periods to resend)
+//   Resume           -> ResumeAck | ErrorReply  (the server's durable
+//                     high-water mark for the session, so a reconnecting
+//                     client knows which periods to resend)
 //
-// Version 2 additions (crash-safe serving): EndPeriod carries a client
-// sequence number (0 = unsequenced, v1 behaviour) so the server can drop
-// duplicates after a reconnect, and Resume/ResumeAck expose the durable
-// high-water mark.
+// Causal tracing:
 //
-// Version 3 additions (causal tracing): Hello/HelloAck negotiate the
-// version (the server accepts any version in [kServeMinProtocolVersion,
-// kServeProtocolVersion] and echoes the minimum of the two sides, so v2
-// clients keep working unchanged); TraceContext is an optional envelope
-// frame that attaches a {trace id, parent span id} pair to the *next*
-// request frame on the connection, letting the server continue the
-// client's trace as child spans without changing any existing payload
-// schema; TraceDumpRequest/TraceDumpResponse pull the server's span ring
-// (and optionally its flight-recorder dump) over the wire for merged
-// client+server Chrome traces.
+//   TraceContext     (envelope, no reply: attaches a {trace id, parent
+//                     span id} pair to the *next* request frame, so the
+//                     server continues the client's trace as child spans)
+//   TraceDumpRequest -> TraceDumpResponse  (the server's span ring, each
+//                     span with its hardware counters, and optionally its
+//                     flight-recorder dump, for merged client+server
+//                     Chrome traces)
 //
-// Version 4 additions (cluster serving, src/cluster):
+// Cluster serving (src/cluster):
 //
 //   ClusterMapRequest  -> ClusterMapResponse  (the shard's view of the
-//                     static cluster map: epoch + per-shard primary and
-//                     follower endpoints, so clients can route and fail
-//                     over without out-of-band configuration)
+//                     cluster map: epoch + per-shard primary and follower
+//                     endpoints, so clients can route and fail over without
+//                     out-of-band configuration)
 //   OpenClusterSession -> SessionOpened | Redirect | ErrorReply  (open a
 //                     session routed by a client-chosen key; a shard that
 //                     does not own the key answers Redirect with the
@@ -61,18 +60,6 @@
 //                     the same id, so clients reattach after failover by
 //                     the id they already hold.  Idempotent when the id
 //                     already exists with the same task universe.)
-//
-// Version 5 additions (telemetry plane, src/monitor):
-//
-//   HealthRequest    -> HealthResponse | ErrorReply  (the SLO engine's
-//                     current verdict: overall alert state, per-objective
-//                     burn rates, per-endpoint scrape freshness.  Answered
-//                     authoritatively by bbmg_monitor; a plain bbmg_served
-//                     answers ErrorReply(Internal) pointing at the
-//                     monitor, so probing either daemon type is safe)
-//
-// Version 6 additions (self-healing control plane, src/control):
-//
 //   MapUpdate        -> MapUpdateAck  (the controller pushes a new
 //                     epoch-stamped cluster map into a live daemon after an
 //                     automated failover; the daemon installs it only when
@@ -80,32 +67,26 @@
 //                     role — promoted follower starts shipping, deposed
 //                     primary is fenced)
 //
-//   Epoch fencing: EndPeriod, OpenSessionAs and OpenClusterSession carry
-//   the writer's map epoch (0 = unfenced legacy writer).  A daemon whose
-//   fence floor has advanced past the stamped epoch rejects the write
-//   with ErrorReply(Fenced) — the split-brain guard that stops a
+//   Epoch fencing: EndPeriod, OpenSessionAs and OpenClusterSession always
+//   carry the writer's map epoch (0 = a writer with no cluster map).  A
+//   daemon whose fence floor has advanced past the stamped epoch rejects
+//   the write with ErrorReply(Fenced) — the split-brain guard that stops a
 //   resurrected stale primary from accepting writes its successor already
-//   owns.  The epoch rides as an optional trailing field: v2-v5 encoders
-//   omit it and decode as epoch 0, so old peers keep working unchanged.
+//   owns.
 //
-// Version 7 additions (performance observability, src/obs/perf):
+// Telemetry and introspection:
 //
+//   HealthRequest    -> HealthResponse | ErrorReply  (the SLO engine's
+//                     current verdict: overall alert state, per-objective
+//                     burn rates, per-endpoint scrape freshness.  Answered
+//                     authoritatively by bbmg_monitor; a plain bbmg_served
+//                     answers ErrorReply(Internal) pointing at the
+//                     monitor, so probing either daemon type is safe)
 //   VspaceRequest    -> VspaceResponse | ErrorReply  (live version-space
 //                     introspection for one session: hypothesis count and
 //                     peak, estimated frontier bytes, heap churn, and the
 //                     branching-factor / candidate-scan-length histograms
 //                     sampled inside the learner — `bbmg_client vspace`)
-//
-//   TraceDumpResponse grows an optional trailing hardware-counter block
-//   (cycles/instructions/cache-misses/branch-misses per span).  v7
-//   encoders append it only for v7 peers; v3-v6 frames round-trip
-//   unchanged and decode with all-zero counters.
-//
-// Unknown frame types above kMaxFrameType are *skipped* by the decoder
-// (counted, logged, connection survives): a v4 server behind a v3-era
-// proxy, or a newer client probing optional frames, must degrade to
-// ignored extensions rather than killed connections.  Type 0 remains a
-// framing error — it can only come from stream corruption.
 #pragma once
 
 #include <cstdint>
@@ -117,17 +98,16 @@
 #include "core/vspace_stats.hpp"
 #include "lattice/dependency_matrix.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "serve/session_manager.hpp"
 #include "trace/binary_codec.hpp"
 
 namespace bbmg {
 
 inline constexpr std::uint32_t kServeMagic = 0x474d4242u;  // "BBMG"
-inline constexpr std::uint16_t kServeProtocolVersion = 7;
-/// Oldest peer version still spoken; Hello/HelloAck outside
-/// [kServeMinProtocolVersion, kServeProtocolVersion] are rejected, inside
-/// the range both sides run at min(client, server).
-inline constexpr std::uint16_t kServeMinProtocolVersion = 2;
+/// The one protocol version spoken; a Hello or HelloAck carrying any other
+/// version is refused.  Bump it whenever any frame layout changes.
+inline constexpr std::uint16_t kServeProtocolVersion = 8;
 /// Frames larger than this are rejected before allocation (garbage guard).
 /// This is the hard upper bound; FrameDecoder::set_max_payload can lower
 /// it per decoder (e.g. a memory-constrained ingest front-end).
@@ -168,25 +148,24 @@ enum class FrameType : std::uint8_t {
   MetricsResponse = 13,
   Resume = 14,
   ResumeAck = 15,
-  TraceContext = 16,       // v3: envelope for the next request frame
-  TraceDumpRequest = 17,   // v3
-  TraceDumpResponse = 18,  // v3
-  OpenSessionAs = 19,       // v4: open with an explicit session id
-  ClusterMapRequest = 20,   // v4
-  ClusterMapResponse = 21,  // v4
-  Redirect = 22,            // v4: the addressed shard does not own the key
-  OpenClusterSession = 23,  // v4: open routed by a consistent-hash key
-  HealthRequest = 24,       // v5: telemetry plane (src/monitor)
-  HealthResponse = 25,      // v5
-  MapUpdate = 26,           // v6: controller pushes a new cluster map
-  MapUpdateAck = 27,        // v6
-  VspaceRequest = 28,       // v7: live version-space introspection
-  VspaceResponse = 29,      // v7
+  TraceContext = 16,        // envelope for the next request frame
+  TraceDumpRequest = 17,
+  TraceDumpResponse = 18,
+  OpenSessionAs = 19,       // open with an explicit session id
+  ClusterMapRequest = 20,
+  ClusterMapResponse = 21,
+  Redirect = 22,            // the addressed shard does not own the key
+  OpenClusterSession = 23,  // open routed by a consistent-hash key
+  HealthRequest = 24,       // telemetry plane (src/monitor)
+  HealthResponse = 25,
+  MapUpdate = 26,           // controller pushes a new cluster map
+  MapUpdateAck = 27,
+  VspaceRequest = 28,       // live version-space introspection
+  VspaceResponse = 29,
 };
 
-/// Highest FrameType value this build understands; the decoder *skips*
-/// types beyond this (a newer peer's optional extension, see the v4 notes
-/// above) and only rejects type 0 as stream corruption.
+/// Highest FrameType value; the decoder rejects any type outside
+/// [1, kMaxFrameType] as stream corruption.
 inline constexpr std::uint8_t kMaxFrameType =
     static_cast<std::uint8_t>(FrameType::VspaceResponse);
 
@@ -200,10 +179,8 @@ void append_frame(std::vector<std::uint8_t>& out, const Frame& frame);
 
 /// Incremental frame parser for a byte stream: feed() arbitrary chunks,
 /// next() yields complete frames in order.  Throws FrameTooLarge on an
-/// oversized length field and bbmg::Error on frame type 0 (corruption).
-/// Frame types above kMaxFrameType — extensions from a newer protocol
-/// version — are consumed whole and skipped with a diagnostic, so mixed-
-/// version clusters degrade to ignored frames, not dead connections.
+/// oversized length field and bbmg::Error on a frame type outside
+/// [1, kMaxFrameType] as soon as the frame header has arrived.
 class FrameDecoder {
  public:
   void feed(const std::uint8_t* data, std::size_t size);
@@ -216,15 +193,10 @@ class FrameDecoder {
   void set_max_payload(std::size_t cap);
   [[nodiscard]] std::size_t max_payload() const { return max_payload_; }
 
-  /// Unknown-type frames skipped so far (diagnostic for operators and the
-  /// mixed-version tests).
-  [[nodiscard]] std::uint64_t skipped() const { return skipped_; }
-
  private:
   std::vector<std::uint8_t> buffer_;
   std::size_t consumed_{0};
   std::size_t max_payload_{kMaxFramePayload};
-  std::uint64_t skipped_{0};
 };
 
 // -- payload schemas -------------------------------------------------------
@@ -233,8 +205,14 @@ struct HelloMsg {
   std::uint32_t magic{kServeMagic};
   std::uint16_t version{kServeProtocolVersion};
   [[nodiscard]] Frame to_frame(FrameType type) const;
+  /// Throws unless the magic and version are exactly this build's.
   [[nodiscard]] static HelloMsg decode(const Frame& frame);
 };
+
+/// The server half of the handshake, shared by every daemon that accepts
+/// connections: validate a client's Hello frame (throws on a bad magic or
+/// any version but kServeProtocolVersion) and return the HelloAck to send.
+[[nodiscard]] Frame hello_ack(const Frame& hello);
 
 struct OpenSessionMsg {
   std::vector<std::string> task_names;
@@ -260,9 +238,8 @@ struct EndPeriodMsg {
   /// per session; the server drops any seq at or below its high-water
   /// mark as an already-applied duplicate.
   std::uint64_t seq{0};
-  /// v6: the writer's cluster-map epoch, 0 = unfenced legacy writer.
-  /// Encoded only when nonzero (trailing optional field), decoded as 0
-  /// when absent, so v2-v5 frames round-trip unchanged.
+  /// The writer's cluster-map epoch, 0 = a writer with no cluster map
+  /// (admitted by every daemon; see ClusterHooks::admit_write).
   std::uint64_t epoch{0};
   [[nodiscard]] Frame to_frame() const;
   [[nodiscard]] static EndPeriodMsg decode(const Frame& frame);
@@ -316,7 +293,7 @@ enum class WireErrorCode : std::uint16_t {
   UnknownSession = 2,
   Overflow = 3,
   Internal = 4,
-  /// v6: the write carried a cluster-map epoch below the daemon's fence
+  /// The write carried a cluster-map epoch below the daemon's fence
   /// floor — the writer's regime has been deposed; refetch the map.
   Fenced = 5,
 };
@@ -347,7 +324,7 @@ struct MetricsResponseMsg {
   [[nodiscard]] static MetricsResponseMsg decode(const Frame& frame);
 };
 
-// -- causal tracing (v3) ---------------------------------------------------
+// -- causal tracing --------------------------------------------------------
 
 /// Sanity cap on spans in one TraceDumpResponse (a span ring is bounded;
 /// a frame claiming more is garbage).
@@ -357,8 +334,8 @@ inline constexpr std::size_t kMaxWireSpans = 1u << 20;
 inline constexpr std::size_t kMaxWireFlightChunks = 1u << 14;
 
 /// Envelope: attaches the client's trace id and calling span id to the
-/// next request frame on this connection.  Sent only on negotiated v3
-/// connections; an envelope with no following request is simply dropped.
+/// next request frame on this connection; an envelope with no following
+/// request is simply dropped.
 struct TraceContextMsg {
   std::uint64_t trace_id{0};
   std::uint64_t span_id{0};
@@ -385,12 +362,13 @@ struct WireSpan {
   std::uint64_t span_id{0};
   std::uint64_t parent_id{0};
   std::uint8_t flow{0};
-  /// v7: hardware counters sampled over the span (zero when the span was
-  /// recorded without a PerfCounterGroup or the peer predates v7).
+  /// Hardware counters sampled over the span (zero when the span was
+  /// recorded without a PerfCounterGroup).
   std::uint64_t cycles{0};
   std::uint64_t instructions{0};
   std::uint64_t cache_misses{0};
   std::uint64_t branch_misses{0};
+  [[nodiscard]] static WireSpan from(const obs::SpanRecord& r);
 };
 
 struct TraceDumpResponseMsg {
@@ -403,15 +381,11 @@ struct TraceDumpResponseMsg {
   std::vector<WireSpan> spans;
   /// Flight-recorder dump text (empty unless requested).
   std::string flight;
-  /// Encode-side only: append the v7 hardware-counter trailing block.  The
-  /// server sets this from the negotiated version (>= 7); it never rides
-  /// the wire itself and decode() leaves it at the default.
-  bool include_hw{false};
   [[nodiscard]] Frame to_frame() const;
   [[nodiscard]] static TraceDumpResponseMsg decode(const Frame& frame);
 };
 
-// -- cluster serving (v4) --------------------------------------------------
+// -- cluster serving -------------------------------------------------------
 
 /// Sanity cap on shards in one ClusterMapResponse (a map is operator
 /// configuration; a frame claiming more is garbage).
@@ -429,7 +403,7 @@ struct OpenSessionAsMsg {
   std::uint32_t bound{16};
   SanitizePolicy policy{SanitizePolicy::Repair};
   std::uint32_t snapshot_interval{1};
-  /// v6 optional trailing field, see EndPeriodMsg::epoch.
+  /// The writer's map epoch, see EndPeriodMsg::epoch.
   std::uint64_t epoch{0};
   [[nodiscard]] Frame to_frame() const;
   [[nodiscard]] static OpenSessionAsMsg decode(const Frame& frame);
@@ -476,14 +450,14 @@ struct OpenClusterSessionMsg {
   std::uint32_t bound{16};
   SanitizePolicy policy{SanitizePolicy::Repair};
   std::uint32_t snapshot_interval{1};
-  /// v6 optional trailing field, see EndPeriodMsg::epoch.
+  /// The writer's map epoch, see EndPeriodMsg::epoch.
   std::uint64_t epoch{0};
   [[nodiscard]] Frame to_frame() const;
   [[nodiscard]] static OpenClusterSessionMsg decode(const Frame& frame);
   [[nodiscard]] SessionConfig to_session_config() const;
 };
 
-// -- control plane (v6) ----------------------------------------------------
+// -- control plane ---------------------------------------------------------
 
 /// The controller pushes a new cluster map into a live daemon.  Payload is
 /// a ClusterMapResponseMsg body (epoch + shards); the daemon installs it
@@ -505,7 +479,7 @@ struct MapUpdateAckMsg {
   [[nodiscard]] static MapUpdateAckMsg decode(const Frame& frame);
 };
 
-// -- telemetry plane (v5) --------------------------------------------------
+// -- telemetry plane -------------------------------------------------------
 
 /// Sanity caps for health payloads (objectives and endpoints are operator
 /// configuration; a frame claiming more is garbage).
@@ -562,7 +536,7 @@ struct HealthResponseMsg {
   [[nodiscard]] static HealthResponseMsg decode(const Frame& frame);
 };
 
-// -- version-space introspection (v7) --------------------------------------
+// -- version-space introspection -------------------------------------------
 
 struct VspaceRequestMsg {
   std::uint32_t session{0};

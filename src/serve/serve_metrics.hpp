@@ -21,6 +21,9 @@ struct ServeMetrics {
   obs::Counter& connections;
   /// Connections closed by the server's idle policy (--idle-timeout).
   obs::Counter& connections_idle_closed;
+  /// accept() failures the listener survived (EMFILE, ENFILE, ENOBUFS,
+  /// ENOMEM, ECONNABORTED, ...): each is retried after a short back-off.
+  obs::Counter& accept_errors;
   /// Periods handed to submit() (accepted or not).
   obs::Counter& submits;
   /// Submissions refused because the shard queue was full (block=false).
@@ -77,6 +80,7 @@ struct ServeMetrics {
         r.counter("bbmg_serve_sessions_opened_total"),
         r.counter("bbmg_serve_connections_total"),
         r.counter("bbmg_serve_connections_idle_closed_total"),
+        r.counter("bbmg_serve_accept_errors_total"),
         r.counter("bbmg_serve_submits_total"),
         r.counter("bbmg_serve_overflows_total"),
         r.counter("bbmg_serve_periods_applied_total"),

@@ -118,8 +118,7 @@ void Server::serve_connection(int fd) {
   // stops (bounding memory) and the next EndPeriod is refused.
   std::unordered_set<std::uint32_t> oversized;
   bool greeted = false;
-  std::uint16_t version = kServeMinProtocolVersion;
-  // Causal tracing (v3).  env_ctx is the client's envelope for the request
+  // Causal tracing.  env_ctx is the client's envelope for the request
   // in flight; server_root is the id of this request's first server-side
   // span (server.decode), the parent of every later stage; flow_pending
   // marks that the cross-process flow arrow has not bound yet.
@@ -151,16 +150,8 @@ void Server::serve_connection(int fd) {
     while (auto frame = net::read_frame(fd, decoder)) {
       switch (frame->type) {
         case FrameType::Hello: {
-          const HelloMsg hello = HelloMsg::decode(*frame);
+          net::write_frame(fd, hello_ack(*frame));
           greeted = true;
-          // Speak the lower of the two versions; decode() already rejected
-          // anything outside [kServeMinProtocolVersion, current].
-          version = hello.version < kServeProtocolVersion
-                        ? hello.version
-                        : kServeProtocolVersion;
-          HelloMsg ack;
-          ack.version = version;
-          net::write_frame(fd, ack.to_frame(FrameType::HelloAck));
           break;
         }
         case FrameType::TraceContext: {
@@ -174,28 +165,12 @@ void Server::serve_connection(int fd) {
           const TraceDumpRequestMsg msg = TraceDumpRequestMsg::decode(*frame);
           obs::SpanRing& ring = obs::SpanRing::instance();
           TraceDumpResponseMsg reply;
-          // Hardware counters ride as a v7 trailing block; older peers get
-          // the byte-identical v3 encoding.
-          reply.include_hw = version >= 7;
           reply.drops = ring.dropped();
           const std::vector<obs::SpanRecord> spans =
               msg.drain ? ring.drain() : ring.records();
           reply.spans.reserve(spans.size());
           for (const obs::SpanRecord& s : spans) {
-            WireSpan w;
-            w.name = s.name;
-            w.tid = s.thread;
-            w.start_ns = s.start_ns;
-            w.duration_ns = s.duration_ns;
-            w.trace_id = s.trace_id;
-            w.span_id = s.span_id;
-            w.parent_id = s.parent_id;
-            w.flow = s.flow;
-            w.cycles = s.cycles;
-            w.instructions = s.instructions;
-            w.cache_misses = s.cache_misses;
-            w.branch_misses = s.branch_misses;
-            reply.spans.push_back(std::move(w));
+            reply.spans.push_back(WireSpan::from(s));
           }
           if (msg.flight) {
             obs::FlightRecorder::instance().cache_metrics();

@@ -16,6 +16,7 @@
 #include "obs/metrics.hpp"
 #include "serve/chaos_proxy.hpp"
 #include "serve/client.hpp"
+#include "serve/net.hpp"
 #include "serve/server.hpp"
 
 namespace bbmg::monitor {
@@ -150,6 +151,32 @@ TEST(Monitor, ServesHealthAndItsOwnMetricsOverTheWire) {
     EXPECT_TRUE(found);
   }
   client.disconnect();
+  mon.stop();
+}
+
+// Like the serving daemon, the monitor acknowledges only a Hello at this
+// build's protocol version.
+TEST(Monitor, RefusesHelloAtAnyOtherVersion) {
+  MonitorConfig config;
+  config.listen = true;
+  config.interval_ms = 20;
+  Monitor mon(config);
+  mon.start();
+  ASSERT_GT(mon.port(), 0);
+  const auto acked = [&](int version) {
+    const int fd = net::connect_tcp("127.0.0.1", mon.port());
+    net::set_socket_timeout(fd, 5000);
+    HelloMsg hello;
+    hello.version = static_cast<std::uint16_t>(version);
+    net::write_frame(fd, hello.to_frame(FrameType::Hello));
+    FrameDecoder decoder;
+    const std::optional<Frame> reply = net::read_frame(fd, decoder);
+    net::close_socket(fd);
+    return reply.has_value() && reply->type == FrameType::HelloAck;
+  };
+  EXPECT_FALSE(acked(kServeProtocolVersion - 1));
+  EXPECT_FALSE(acked(kServeProtocolVersion + 1));
+  EXPECT_TRUE(acked(kServeProtocolVersion));
   mon.stop();
 }
 

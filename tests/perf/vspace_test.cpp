@@ -1,8 +1,8 @@
-// Version-space introspection: histogram bucket math, the v7 wire codecs
+// Version-space introspection: histogram bucket math, the wire codecs
 // (VspaceRequest/Response round-trip, truncation rejection, the TraceDump
-// hardware trailer and its v6 backward compatibility), and the end-to-end
-// path — a live server learning a trace answers fetch_vspace with the
-// numbers the learner accumulated.
+// per-span hardware counters), and the end-to-end path — a live server
+// learning a trace answers fetch_vspace with the numbers the learner
+// accumulated.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -145,12 +145,12 @@ WireSpan sample_span() {
 }
 
 TEST(TraceDumpWire, HwTrailerRoundTrip) {
+  // The four hardware counters ride inline in every span record.
   TraceDumpResponseMsg msg;
   msg.server_now_ns = 12345;
   msg.spans = {sample_span(), sample_span()};
   msg.spans[1].name = "serve.query";
   msg.spans[1].cycles = 5;
-  msg.include_hw = true;
 
   const TraceDumpResponseMsg back = TraceDumpResponseMsg::decode(msg.to_frame());
   ASSERT_EQ(back.spans.size(), 2u);
@@ -162,37 +162,31 @@ TEST(TraceDumpWire, HwTrailerRoundTrip) {
   EXPECT_EQ(back.spans[1].name, "serve.query");
 }
 
-TEST(TraceDumpWire, LegacyFrameWithoutTrailerDecodesZeroHw) {
-  // A v6 server (or a v7 one answering a v6 client) sends no trailer; the
-  // decoder must accept the frame and leave the hw fields zero.
-  TraceDumpResponseMsg msg;
-  msg.spans = {sample_span()};
-  msg.include_hw = false;
+TEST(TraceDumpWire, OldLayoutWithoutHwCountersIsRejected) {
+  // A span record is name, tid, five u64 timing/id fields, flow, then the
+  // four u64 counters.  A record without the counters is a truncated
+  // frame; stray bytes after the flight chunks are trailing garbage.
+  TraceDumpResponseMsg one;
+  one.spans = {sample_span()};
+  TraceDumpResponseMsg two = one;
+  two.spans.push_back(sample_span());
+  const Frame f = one.to_frame();
+  EXPECT_EQ(two.to_frame().payload.size() - f.payload.size(),
+            2 + one.spans[0].name.size() + 4 + 5 * 8 + 1 + 4 * 8);
 
-  const Frame f = msg.to_frame();
-  const TraceDumpResponseMsg back = TraceDumpResponseMsg::decode(f);
-  ASSERT_EQ(back.spans.size(), 1u);
-  EXPECT_EQ(back.spans[0].duration_ns, 900u);
-  EXPECT_EQ(back.spans[0].cycles, 0u);
-  EXPECT_EQ(back.spans[0].branch_misses, 0u);
+  // No flight text: the payload ends with the span's counters and a zero
+  // chunk count.
+  Frame old_layout = f;
+  const std::size_t counters_at = f.payload.size() - 4 - 4 * 8;
+  old_layout.payload.erase(
+      old_layout.payload.begin() + static_cast<std::ptrdiff_t>(counters_at),
+      old_layout.payload.begin() +
+          static_cast<std::ptrdiff_t>(counters_at + 4 * 8));
+  EXPECT_THROW((void)TraceDumpResponseMsg::decode(old_layout), Error);
 
-  // And the encoded bytes really carry no trailer: the hw variant is
-  // strictly longer.
-  TraceDumpResponseMsg hw = msg;
-  hw.include_hw = true;
-  EXPECT_GT(hw.to_frame().payload.size(), f.payload.size());
-}
-
-TEST(TraceDumpWire, UnknownTrailerMarkerRaises) {
-  TraceDumpResponseMsg msg;
-  msg.spans = {sample_span()};
-  const std::size_t base_size = msg.to_frame().payload.size();
-  msg.include_hw = true;
-  Frame f = msg.to_frame();
-  ASSERT_GT(f.payload.size(), base_size);
-  ASSERT_EQ(f.payload[base_size], 1u);  // the marker byte
-  f.payload[base_size] = 2;             // a future format we don't speak
-  EXPECT_THROW((void)TraceDumpResponseMsg::decode(f), Error);
+  Frame extra = f;
+  extra.payload.push_back(1);
+  EXPECT_THROW((void)TraceDumpResponseMsg::decode(extra), Error);
 }
 
 TEST(VspaceEndToEnd, ServerReportsLearnerVersionSpace) {

@@ -128,9 +128,20 @@ TEST(Protocol, DecoderHoldsPartialFrameUntilComplete) {
   EXPECT_TRUE(decoder.next().has_value());
 }
 
+TEST(Protocol, HelloRefusesAnyOtherVersion) {
+  for (const int delta : {-1, 1}) {
+    HelloMsg hello;
+    hello.version = static_cast<std::uint16_t>(kServeProtocolVersion + delta);
+    const Frame f = hello.to_frame(FrameType::Hello);
+    EXPECT_THROW((void)HelloMsg::decode(f), Error) << delta;
+    EXPECT_THROW((void)hello_ack(f), Error) << delta;
+  }
+  const Frame ack = hello_ack(HelloMsg{}.to_frame(FrameType::Hello));
+  EXPECT_EQ(ack.type, FrameType::HelloAck);
+  EXPECT_EQ(HelloMsg::decode(ack).version, kServeProtocolVersion);
+}
+
 TEST(Protocol, DecoderRejectsFrameTypeZero) {
-  // Type 0 was never assigned by any protocol version; only corruption
-  // produces it, so (unlike high unknown types) it is not skippable.
   std::vector<std::uint8_t> bytes;
   append_u32(bytes, 0);
   append_u8(bytes, 0);
@@ -139,14 +150,13 @@ TEST(Protocol, DecoderRejectsFrameTypeZero) {
   EXPECT_THROW((void)decoder.next(), Error);
 }
 
-TEST(Protocol, DecoderSkipsUnknownFrameTypesMidStream) {
-  // A newer peer's extension frame sits between two known ones: the
-  // decoder consumes it whole (its declared length is still bounded by
-  // the payload cap), counts it, and keeps parsing the stream.
+TEST(Protocol, DecoderRejectsFrameTypeAboveMaxMidStream) {
+  // An unassigned type between two valid frames: the first frame still
+  // decodes, then the stream is rejected.
   std::vector<std::uint8_t> bytes;
   append_frame(bytes, HelloMsg{}.to_frame(FrameType::Hello));
   append_u32(bytes, 3);
-  append_u8(bytes, 0x7f);  // far beyond kMaxFrameType
+  append_u8(bytes, kMaxFrameType + 1);
   bytes.push_back(0xde);
   bytes.push_back(0xad);
   bytes.push_back(0x01);
@@ -157,33 +167,22 @@ TEST(Protocol, DecoderSkipsUnknownFrameTypesMidStream) {
   const std::optional<Frame> first = decoder.next();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->type, FrameType::Hello);
-  const std::optional<Frame> second = decoder.next();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->type, FrameType::Resume);
-  EXPECT_EQ(decoder.skipped(), 1u);
-  EXPECT_FALSE(decoder.next().has_value());
+  EXPECT_THROW((void)decoder.next(), Error);
 }
 
-TEST(Protocol, DecoderSkipsUnknownFrameSplitAcrossFeeds) {
-  // The skip also works when the unknown frame arrives fragmented: the
-  // decoder must wait for the whole declared length before skipping.
+TEST(Protocol, DecoderRejectsFrameTypeAboveMaxSplitAcrossFeeds) {
+  // The type byte is checked as soon as the 5-byte header is in, before
+  // the declared payload arrives.
   std::vector<std::uint8_t> unknown;
   append_u32(unknown, 4);
   append_u8(unknown, 0x40);
   for (std::uint8_t b : {1, 2, 3, 4}) unknown.push_back(b);
-  std::vector<std::uint8_t> tail;
-  append_frame(tail, SessionRefMsg{9}.to_frame(FrameType::Resume));
 
   FrameDecoder decoder;
-  decoder.feed(unknown.data(), 6);  // header + 1 of 4 payload bytes
+  decoder.feed(unknown.data(), 3);  // a partial header is just incomplete
   EXPECT_FALSE(decoder.next().has_value());
-  EXPECT_EQ(decoder.skipped(), 0u);
-  decoder.feed(unknown.data() + 6, unknown.size() - 6);
-  decoder.feed(tail.data(), tail.size());
-  const std::optional<Frame> frame = decoder.next();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->type, FrameType::Resume);
-  EXPECT_EQ(decoder.skipped(), 1u);
+  decoder.feed(unknown.data() + 3, 3);  // header + 1 of 4 payload bytes
+  EXPECT_THROW((void)decoder.next(), Error);
 }
 
 TEST(Protocol, DecoderRejectsOversizedLength) {
@@ -317,60 +316,57 @@ TEST(Protocol, MapUpdateAckRoundTrip) {
   EXPECT_EQ(back.epoch, 9u);
 }
 
-TEST(Protocol, EndPeriodEpochIsAnOptionalTrailingField) {
-  // Stamped: the epoch rides along and round-trips.
+// Epoch 0 (a writer with no cluster map) and a stamped epoch share one
+// layout: the same length, each round-trips, and a payload 8 bytes short —
+// the old unstamped layout — is rejected as truncated.
+template <typename Msg>
+void expect_fixed_epoch_layout(Msg stamped) {
+  Msg unstamped = stamped;
+  unstamped.epoch = 0;
+  const Frame sf = stamped.to_frame();
+  const Frame uf = unstamped.to_frame();
+  EXPECT_EQ(sf.payload.size(), uf.payload.size());
+  EXPECT_EQ(Msg::decode(through_decoder(sf, 3)).epoch, stamped.epoch);
+  EXPECT_EQ(Msg::decode(through_decoder(uf, 3)).epoch, 0u);
+  Frame short_frame = uf;
+  short_frame.payload.resize(uf.payload.size() - 8);
+  EXPECT_THROW((void)Msg::decode(short_frame), Error);
+}
+
+TEST(Protocol, EndPeriodEpochIsAlwaysEncoded) {
   EndPeriodMsg stamped;
   stamped.session = 4;
   stamped.seq = 11;
   stamped.epoch = 3;
+  expect_fixed_epoch_layout(stamped);
   const EndPeriodMsg back =
       EndPeriodMsg::decode(through_decoder(stamped.to_frame(), 1));
   EXPECT_EQ(back.session, 4u);
   EXPECT_EQ(back.seq, 11u);
-  EXPECT_EQ(back.epoch, 3u);
-
-  // Unstamped (epoch 0) encodes WITHOUT the trailing field — the exact
-  // bytes a v2-v5 writer produces — and decodes back to 0: old frames
-  // keep working against fenced servers.
-  EndPeriodMsg legacy;
-  legacy.session = 4;
-  legacy.seq = 11;
-  const Frame lf = legacy.to_frame();
-  EXPECT_EQ(lf.payload.size(), stamped.to_frame().payload.size() - 8);
-  EXPECT_EQ(EndPeriodMsg::decode(lf).epoch, 0u);
 }
 
-TEST(Protocol, OpenSessionAsEpochIsAnOptionalTrailingField) {
+TEST(Protocol, OpenSessionAsEpochIsAlwaysEncoded) {
   OpenSessionAsMsg stamped;
   stamped.session = 2;
   stamped.task_names = {"brake", "abs"};
   stamped.epoch = 5;
+  expect_fixed_epoch_layout(stamped);
   const OpenSessionAsMsg back =
       OpenSessionAsMsg::decode(through_decoder(stamped.to_frame(), 5));
   EXPECT_EQ(back.session, 2u);
   EXPECT_EQ(back.task_names, stamped.task_names);
-  EXPECT_EQ(back.epoch, 5u);
-
-  OpenSessionAsMsg legacy = stamped;
-  legacy.epoch = 0;
-  const Frame lf = legacy.to_frame();
-  EXPECT_EQ(lf.payload.size(), stamped.to_frame().payload.size() - 8);
-  EXPECT_EQ(OpenSessionAsMsg::decode(lf).epoch, 0u);
 }
 
-TEST(Protocol, OpenClusterSessionEpochIsAnOptionalTrailingField) {
+TEST(Protocol, OpenClusterSessionEpochIsAlwaysEncoded) {
   OpenClusterSessionMsg stamped;
   stamped.key = "device-9";
   stamped.task_names = {"brake"};
   stamped.epoch = 6;
+  expect_fixed_epoch_layout(stamped);
   const OpenClusterSessionMsg back =
       OpenClusterSessionMsg::decode(through_decoder(stamped.to_frame(), 4));
   EXPECT_EQ(back.key, "device-9");
-  EXPECT_EQ(back.epoch, 6u);
-
-  OpenClusterSessionMsg legacy = stamped;
-  legacy.epoch = 0;
-  EXPECT_EQ(OpenClusterSessionMsg::decode(legacy.to_frame()).epoch, 0u);
+  EXPECT_EQ(back.task_names, stamped.task_names);
 }
 
 }  // namespace

@@ -2,7 +2,17 @@
 // errors from hostile peers, and multi-connection isolation.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/heuristic_learner.hpp"
@@ -148,6 +158,121 @@ TEST(ServerRobustness, StopUnblocksLiveConnections) {
   (void)session;
   server->stop();  // must not deadlock on the open connection
   server.reset();
+}
+
+// Every peer is built from this tree, so a Hello one version off in either
+// direction is refused with an ErrorReply instead of acknowledged.
+TEST(ServerRobustness, RefusesHelloAtAnyOtherVersion) {
+  Server server;
+  server.start();
+  const auto first_reply = [&](int version) -> std::optional<FrameType> {
+    const int fd = net::connect_tcp("127.0.0.1", server.port());
+    net::set_socket_timeout(fd, 5000);
+    HelloMsg hello;
+    hello.version = static_cast<std::uint16_t>(version);
+    net::write_frame(fd, hello.to_frame(FrameType::Hello));
+    FrameDecoder decoder;
+    std::optional<Frame> reply = net::read_frame(fd, decoder);
+    net::close_socket(fd);
+    if (!reply.has_value()) return std::nullopt;
+    return reply->type;
+  };
+  EXPECT_EQ(first_reply(kServeProtocolVersion - 1), FrameType::ErrorReply);
+  EXPECT_EQ(first_reply(kServeProtocolVersion + 1), FrameType::ErrorReply);
+  EXPECT_EQ(first_reply(kServeProtocolVersion), FrameType::HelloAck);
+  server.stop();
+}
+
+/// Lowers the soft RLIMIT_NOFILE for one scope and restores it after.
+class ScopedFdLimit {
+ public:
+  explicit ScopedFdLimit(rlim_t soft) {
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  }
+  ~ScopedFdLimit() { (void)::setrlimit(RLIMIT_NOFILE, &saved_); }
+  ScopedFdLimit(const ScopedFdLimit&) = delete;
+  ScopedFdLimit& operator=(const ScopedFdLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+};
+
+// A full fd table makes accept() fail with EMFILE: the kernel reserves the
+// new descriptor before it waits for a connection, even on a shut-down
+// listener.  That failure is transient: a server stopped meanwhile still
+// stops, and once descriptors are free again the other server's accept
+// loop is still running, so a new client completes Hello and a query.
+TEST(ServerRobustness, AcceptLoopSurvivesFdExhaustion) {
+  Server server;
+  Server stopped;
+  server.start();
+  stopped.start();
+  const obs::Counter& accept_errors =
+      obs::MetricsRegistry::instance().counter(
+          "bbmg_serve_accept_errors_total");
+  const std::uint64_t errors_before = accept_errors.value();
+  // Client sockets made before the table fills: connecting them later
+  // needs no new descriptor.
+  const int waiting = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int waiting_stopped = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(waiting, 0);
+  ASSERT_GE(waiting_stopped, 0);
+  {
+    // A limit a little above the lowest free descriptor: every number
+    // below it is taken after a few opens, whatever sits above it.
+    const int lowest_free = ::dup(0);
+    ASSERT_GE(lowest_free, 0);
+    ::close(lowest_free);
+    const ScopedFdLimit limit(static_cast<rlim_t>(lowest_free) + 16);
+    std::vector<int> filler;
+    for (;;) {
+      const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+      if (fd < 0) {
+        EXPECT_EQ(errno, EMFILE);
+        break;
+      }
+      filler.push_back(fd);
+    }
+    // Each server's blocked accept() already holds a reserved descriptor
+    // for its client; the accept() after that finds the table full.
+    const auto connect_to = [](int fd, std::uint16_t port) {
+      sockaddr_in addr{};
+      addr.sin_family = AF_INET;
+      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+      addr.sin_port = htons(port);
+      return ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+    };
+    EXPECT_EQ(connect_to(waiting, server.port()), 0);
+    EXPECT_EQ(connect_to(waiting_stopped, stopped.port()), 0);
+    for (int i = 0; i < 200 && accept_errors.value() == errors_before; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    stopped.stop();
+    for (const int fd : filler) ::close(fd);
+  }
+  net::close_socket(waiting);
+  net::close_socket(waiting_stopped);
+  if (obs::kEnabled) {
+    EXPECT_GT(accept_errors.value(), errors_before);
+  }
+
+  const Trace trace = gm_trace(9, 2);
+  ServeClient client;
+  client.set_request_timeout_ms(5000);  // a dead accept loop times out
+  try {
+    client.connect("127.0.0.1", server.port());
+    const std::uint32_t session = client.open_session(trace.task_names());
+    client.send_trace(session, trace);
+    EXPECT_EQ(client.query(session, /*drain=*/true).periods_seen,
+              trace.num_periods());
+  } catch (const Error& e) {
+    ADD_FAILURE() << "server stopped accepting after EMFILE: " << e.what();
+  }
+  client.disconnect();
+  server.stop();
 }
 
 // The acceptance path of the observability layer: replay a trace, fetch
