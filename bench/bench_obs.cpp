@@ -5,7 +5,7 @@
 //   (b) end-to-end: ingest GM-trace replays through the serving pipeline
 //       (SessionManager, 1 worker) and attribute the measured per-op costs
 //       to the metric operations the run actually performed (registry
-//       value delta).  The instrumentation share of the ingest wall time
+//       deltas, counted as calls: a batched inc(n) is one op).  The instrumentation share of the ingest wall time
 //       must stay below the 2% overhead budget (DESIGN.md, Observability).
 //   (c) causal tracing on: the same ingest with every period carrying a
 //       trace context (span ring enabled, server stages recording child
@@ -32,6 +32,7 @@
 // check passes trivially.  Output goes to stdout and BENCH_obs.json.
 #include <cstdio>
 #include <map>
+#include <utility>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -99,7 +100,8 @@ OpDelta ops_between(const obs::MetricsSnapshot& before,
   const auto b = value_map(before);
   OpDelta d;
   // Accumulator counters carry a *quantity* in their value — nanoseconds,
-  // heap bytes, allocation counts, hardware events, CPU milliseconds —
+  // heap bytes, allocation counts, hardware events, CPU milliseconds, the
+  // profiler's stride-scaled phase call counts —
   // added with one inc per sampled unit.  Pricing their value deltas as
   // metric ops would bill every profiled nanosecond (or allocated byte) as
   // an increment; each is noise against the real per-event counters.
@@ -107,6 +109,7 @@ OpDelta ops_between(const obs::MetricsSnapshot& before,
       "_ns_total",           "_bytes_total",        "_allocs_total",
       "_cycles_total",       "_instructions_total", "_cache_misses_total",
       "_branch_misses_total", "_millis_total",      "_seconds_total",
+      "_phase_calls_total",
   };
   const auto is_quantity = [](const std::string& name) {
     for (const char* suffix : kQuantitySuffixes) {
@@ -114,10 +117,29 @@ OpDelta ops_between(const obs::MetricsSnapshot& before,
     }
     return false;
   };
+  // Batched counters take one inc(n) per period, whatever n is (e.g. the
+  // learner's branched.inc(hypotheses created this period)); their calls
+  // are the per-period counter's delta, not their own value delta.
+  static constexpr std::pair<const char*, const char*> kPerPeriodBatches[] = {
+      {"bbmg_learner_messages_total", "bbmg_learner_periods_total"},
+      {"bbmg_learner_hypotheses_branched_total", "bbmg_learner_periods_total"},
+      {"bbmg_learner_hypotheses_pruned_total", "bbmg_learner_periods_total"},
+      {"bbmg_learner_unexplained_messages_total",
+       "bbmg_learner_periods_total"},
+      {"bbmg_robust_repairs_total", "bbmg_robust_periods_total"},
+  };
+  std::map<std::string, std::uint64_t> deltas;
   for (const obs::CounterSample& c : after.counters) {
-    if (is_quantity(c.name)) continue;
     const auto it = b.find(c.name);
-    d.counter_ops += c.value - (it == b.end() ? 0 : it->second);
+    deltas[c.name] = c.value - (it == b.end() ? 0 : it->second);
+  }
+  for (const auto& [name, delta] : deltas) {
+    if (is_quantity(name)) continue;
+    std::uint64_t calls = delta;
+    for (const auto& [batched, per_period] : kPerPeriodBatches) {
+      if (name == batched) calls = deltas[per_period];
+    }
+    d.counter_ops += calls;
   }
   for (const obs::HistogramSample& h : after.histograms) {
     const auto it = b.find(h.name);

@@ -49,6 +49,18 @@ class DynamicBitset {
     for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
   }
 
+  /// In-place union that reports every bit it newly sets to on_new(i).
+  template <class OnNew>
+  void unite(const DynamicBitset& other, OnNew&& on_new) {
+    for (std::size_t i = 0; i < words_.size(); ++i) {
+      std::uint64_t fresh = other.words_[i] & ~words_[i];
+      words_[i] |= fresh;
+      for (; fresh != 0; fresh &= fresh - 1) {
+        on_new(i * 64 + static_cast<std::size_t>(__builtin_ctzll(fresh)));
+      }
+    }
+  }
+
   /// In-place intersection; both operands must have the same size.
   void intersect(const DynamicBitset& other) {
     for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];

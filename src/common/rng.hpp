@@ -12,7 +12,16 @@
 
 namespace bbmg {
 
-/// SplitMix64 step; used for seeding and as a cheap stateless mixer.
+/// Stateless SplitMix64 mix: the generator's output for state `x`.  Cheap
+/// enough for hot-path hashing (the learner's Zobrist keys).
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// SplitMix64 step; used for seeding.
 std::uint64_t splitmix64(std::uint64_t& state);
 
 class Rng {

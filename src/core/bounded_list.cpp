@@ -1,0 +1,176 @@
+#include "core/bounded_list.hpp"
+
+#include <algorithm>
+
+#include "common/error.hpp"
+#include "obs/alloc_track.hpp"
+#include "obs/span.hpp"
+
+namespace bbmg {
+
+// -- KeySet -------------------------------------------------------------------
+
+void KeySet::insert(std::uint64_t key, std::uint32_t slot) {
+  if ((size_ + 1) * 2 > cells_.size()) grow();
+  std::size_t i = key & mask_;
+  while (cells_[i].slot != kNone) i = (i + 1) & mask_;
+  cells_[i] = Cell{key, slot};
+  ++size_;
+}
+
+void KeySet::erase(std::uint64_t key, std::uint32_t slot) {
+  std::size_t i = key & mask_;
+  while (cells_[i].key != key || cells_[i].slot != slot) {
+    BBMG_ASSERT(cells_[i].slot != kNone, "key set: erasing an absent entry");
+    i = (i + 1) & mask_;
+  }
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole whenever their home position does not lie in (hole, j].
+  for (std::size_t j = (i + 1) & mask_; cells_[j].slot != kNone;
+       j = (j + 1) & mask_) {
+    const std::size_t home = cells_[j].key & mask_;
+    const bool stays =
+        i <= j ? (i < home && home <= j) : (i < home || home <= j);
+    if (stays) continue;
+    cells_[i] = cells_[j];
+    i = j;
+  }
+  cells_[i].slot = kNone;
+  --size_;
+}
+
+void KeySet::clear() {
+  if (size_ == 0) return;
+  for (Cell& c : cells_) c.slot = kNone;
+  size_ = 0;
+}
+
+void KeySet::grow() {
+  std::vector<Cell> old = std::move(cells_);
+  cells_.assign(std::max<std::size_t>(16, old.size() * 2), Cell{});
+  mask_ = cells_.size() - 1;
+  size_ = 0;
+  for (const Cell& c : old) {
+    if (c.slot != kNone) insert(c.key, c.slot);
+  }
+}
+
+// -- BoundedList --------------------------------------------------------------
+
+namespace {
+
+/// Min-heap order: lighter first, then earlier insertion (std heaps are
+/// max-heaps, hence the inverted comparison).
+constexpr auto kHeavier = [](const auto& x, const auto& y) {
+  return x.weight != y.weight ? x.weight > y.weight : x.seq > y.seq;
+};
+
+}  // namespace
+
+void BoundedList::add_child(const KeyedHypothesis& parent,
+                            const CandidatePair& pair,
+                            const CoExecutionHistory& history) {
+  const Assumption a = parent.h.plan_assume(pair, history);
+  const std::uint64_t weight = parent.weight - dep_distance(a.old_fwd) -
+                               dep_distance(a.old_bwd) + dep_distance(a.fwd) +
+                               dep_distance(a.bwd);
+  const std::uint64_t key =
+      parent.key ^ DependencyMatrix::cell_key(a.fwd_cell, a.old_fwd) ^
+      DependencyMatrix::cell_key(a.fwd_cell, a.fwd) ^
+      DependencyMatrix::cell_key(a.bwd_cell, a.old_bwd) ^
+      DependencyMatrix::cell_key(a.bwd_cell, a.bwd) ^
+      Hypothesis::used_key(a.fwd_cell);
+  const auto same = [&](std::uint32_t s) {
+    return slots_[s].weight == weight &&
+           slots_[s].h.equals_assumed(parent.h, a);
+  };
+  if (keys_.find(key, same) != KeySet::kNone) return;
+
+  const std::uint32_t slot = acquire_slot();
+  KeyedHypothesis& child = slots_[slot];
+  child.h = parent.h;  // copy-assign: reuses the slot's buffers
+  child.h.apply(a);
+  child.weight = weight;
+  child.key = key;
+  push(slot);
+  while (heap_.size() > bound_) merge_two_least();
+}
+
+void BoundedList::take(std::vector<KeyedHypothesis>& out) {
+  std::sort(heap_.begin(), heap_.end(),
+            [](const auto& x, const auto& y) { return kHeavier(y, x); });
+  if (out.size() < heap_.size()) out.resize(heap_.size());
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    std::swap(out[i], slots_[heap_[i].slot]);
+  }
+  out.resize(heap_.size());
+  free_.clear();
+  for (std::uint32_t s = 0; s < slots_.size(); ++s) free_.push_back(s);
+  heap_.clear();
+  keys_.clear();
+}
+
+std::uint32_t BoundedList::acquire_slot() {
+  if (!free_.empty()) {
+    const std::uint32_t s = free_.back();
+    free_.pop_back();
+    return s;
+  }
+  slots_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+void BoundedList::push(std::uint32_t slot) {
+  const KeyedHypothesis& kh = slots_[slot];
+  keys_.insert(kh.key, slot);
+  heap_.push_back(HeapEntry{kh.weight, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), kHeavier);
+}
+
+std::uint32_t BoundedList::pop_least() {
+  std::pop_heap(heap_.begin(), heap_.end(), kHeavier);
+  const std::uint32_t slot = heap_.back().slot;
+  heap_.pop_back();
+  keys_.erase(slots_[slot].key, slot);
+  return slot;
+}
+
+void BoundedList::merge_two_least() {
+  if (merge_timer_ != nullptr) {
+    const obs::AllocCounters a0 = obs::thread_alloc_counters();
+    const std::uint64_t start = obs::now_ns();
+    merge_two_least_impl();
+    merge_timer_->ns += obs::now_ns() - start;
+    const obs::AllocCounters d =
+        obs::alloc_delta(a0, obs::thread_alloc_counters());
+    merge_timer_->alloc_bytes += d.bytes;
+    merge_timer_->allocs += d.count;
+    ++merge_timer_->calls;
+    return;
+  }
+  merge_two_least_impl();
+}
+
+void BoundedList::merge_two_least_impl() {
+  BBMG_ASSERT(heap_.size() >= 2, "merge requires two hypotheses");
+  const std::uint32_t ia = pop_least();
+  const std::uint32_t ib = pop_least();
+  KeyedHypothesis& merged = slots_[ia];
+  const KeyedHypothesis& b = slots_[ib];
+  merged.h.d.lub_assign(b.h.d, merged.weight, merged.key);
+  merged.h.used.unite(b.h.used, [&merged](std::size_t bit) {
+    merged.key ^= Hypothesis::used_key(bit);
+  });
+  free_.push_back(ib);
+  ++stats_.merges;
+  const auto same = [&](std::uint32_t s) {
+    return slots_[s].weight == merged.weight && slots_[s].h == merged.h;
+  };
+  if (keys_.find(merged.key, same) != KeySet::kNone) {
+    free_.push_back(ia);
+    return;
+  }
+  push(ia);
+}
+
+}  // namespace bbmg

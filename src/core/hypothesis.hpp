@@ -8,6 +8,7 @@
 // step; only the matrix persists across periods.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -16,6 +17,20 @@
 #include "lattice/dependency_matrix.hpp"
 
 namespace bbmg {
+
+/// What Hypothesis::assume changes — two cells and one assumption bit —
+/// computed without applying it, so the bounded learner can key and
+/// dedup a child before copying its parent.
+struct Assumption {
+  std::size_t sender{0};
+  std::size_t receiver{0};
+  std::size_t fwd_cell{0};  // sender * n + receiver; also the assumed bit
+  std::size_t bwd_cell{0};  // receiver * n + sender
+  DepValue old_fwd{DepValue::Parallel};
+  DepValue fwd{DepValue::Parallel};
+  DepValue old_bwd{DepValue::Parallel};
+  DepValue bwd{DepValue::Parallel};
+};
 
 struct Hypothesis {
   DependencyMatrix d;
@@ -43,26 +58,62 @@ struct Hypothesis {
   /// d(t3,t1) stays <- (t3 never ran without t1).
   template <class CoExecutionHistory>
   void assume(const CandidatePair& pair, const CoExecutionHistory& history) {
-    const std::size_t s = pair.sender.index();
-    const std::size_t r = pair.receiver.index();
+    apply(plan_assume(pair, history));
+  }
 
-    const DepValue old_fwd = d.at(s, r);
-    DepValue fwd = dep_generalize_permit_forward(old_fwd);
-    if (fwd != old_fwd && dep_requires_forward(fwd) &&
+  /// The change assume(pair, history) would make, without making it.
+  template <class CoExecutionHistory>
+  [[nodiscard]] Assumption plan_assume(
+      const CandidatePair& pair, const CoExecutionHistory& history) const {
+    Assumption a;
+    a.sender = pair.sender.index();
+    a.receiver = pair.receiver.index();
+    const std::size_t s = a.sender;
+    const std::size_t r = a.receiver;
+    a.fwd_cell = s * d.num_tasks() + r;
+    a.bwd_cell = r * d.num_tasks() + s;
+
+    a.old_fwd = d.at(s, r);
+    a.fwd = dep_generalize_permit_forward(a.old_fwd);
+    if (a.fwd != a.old_fwd && dep_requires_forward(a.fwd) &&
         history.ran_without(s, r)) {
-      fwd = dep_weaken_forward_requirement(fwd);
+      a.fwd = dep_weaken_forward_requirement(a.fwd);
     }
-    d.set(s, r, fwd);
 
-    const DepValue old_bwd = d.at(r, s);
-    DepValue bwd = dep_generalize_permit_backward(old_bwd);
-    if (bwd != old_bwd && dep_requires_backward(bwd) &&
+    a.old_bwd = d.at(r, s);
+    a.bwd = dep_generalize_permit_backward(a.old_bwd);
+    if (a.bwd != a.old_bwd && dep_requires_backward(a.bwd) &&
         history.ran_without(r, s)) {
-      bwd = dep_weaken_backward_requirement(bwd);
+      a.bwd = dep_weaken_backward_requirement(a.bwd);
     }
-    d.set(r, s, bwd);
+    return a;
+  }
 
-    used.set(pair.pair_index);
+  void apply(const Assumption& a) {
+    d.set(a.sender, a.receiver, a.fwd);
+    d.set(a.receiver, a.sender, a.bwd);
+    used.set(a.fwd_cell);
+  }
+
+  /// *this == `parent` after parent.apply(a), decided without building the
+  /// child.  Both hypotheses must have the same task count.
+  [[nodiscard]] bool equals_assumed(const Hypothesis& parent,
+                                    const Assumption& a) const {
+    const std::vector<std::uint64_t>& mine = used.words();
+    const std::vector<std::uint64_t>& theirs = parent.used.words();
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      const std::uint64_t bit =
+          i == (a.fwd_cell >> 6) ? 1ull << (a.fwd_cell & 63) : 0;
+      if (mine[i] != (theirs[i] | bit)) return false;
+    }
+    const std::vector<DepValue>& x = d.cells();
+    const std::vector<DepValue>& p = parent.d.cells();
+    if (x[a.fwd_cell] != a.fwd || x[a.bwd_cell] != a.bwd) return false;
+    const std::size_t lo = std::min(a.fwd_cell, a.bwd_cell);
+    const std::size_t hi = std::max(a.fwd_cell, a.bwd_cell);
+    return std::equal(x.begin(), x.begin() + lo, p.begin()) &&
+           std::equal(x.begin() + lo + 1, x.begin() + hi, p.begin() + lo + 1) &&
+           std::equal(x.begin() + hi + 1, x.end(), p.begin() + hi + 1);
   }
 
   [[nodiscard]] bool pair_used(const CandidatePair& pair) const {
@@ -70,6 +121,26 @@ struct Hypothesis {
   }
 
   [[nodiscard]] std::uint64_t hash() const { return used.hash_mix(d.hash()); }
+
+  /// Zobrist term of assumption bit `i`, disjoint from every
+  /// DependencyMatrix::cell_key (cell terms use values 1..6 in the low
+  /// three bits, assumption bits use 7).
+  [[nodiscard]] static std::uint64_t used_key(std::size_t i) {
+    return mix64(i * 8 + 7);
+  }
+
+  /// Full Zobrist key: the matrix's cell terms XOR the assumed bits' terms.
+  /// O(t^2); the bounded learner derives children's keys in O(1).
+  [[nodiscard]] std::uint64_t key() const {
+    std::uint64_t k = d.zobrist_key();
+    const std::vector<std::uint64_t>& words = used.words();
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      for (std::uint64_t w = words[i]; w != 0; w &= w - 1) {
+        k ^= used_key(i * 64 + static_cast<std::size_t>(__builtin_ctzll(w)));
+      }
+    }
+    return k;
+  }
 
   friend bool operator==(const Hypothesis& a, const Hypothesis& b) {
     return a.d == b.d && a.used == b.used;

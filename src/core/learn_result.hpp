@@ -28,6 +28,21 @@ struct LearnStats {
   /// periods_processed).
   std::uint64_t quarantined_periods{0};
   double wall_seconds{0.0};
+
+  /// Every field except the per-period frontier_after_period trace: an
+  /// O(1) copy, whatever the period count.
+  [[nodiscard]] LearnStats counters() const {
+    LearnStats c;
+    c.periods_processed = periods_processed;
+    c.messages_processed = messages_processed;
+    c.peak_hypotheses = peak_hypotheses;
+    c.hypotheses_created = hypotheses_created;
+    c.merges = merges;
+    c.unexplained_messages = unexplained_messages;
+    c.quarantined_periods = quarantined_periods;
+    c.wall_seconds = wall_seconds;
+    return c;
+  }
 };
 
 struct LearnResult {

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "core/bounded_list.hpp"
 #include "core/learner_metrics.hpp"
 #include "core/post_process.hpp"
 #include "core/vspace_stats.hpp"
@@ -12,106 +13,6 @@
 #include "obs/span.hpp"
 
 namespace bbmg {
-
-namespace {
-
-struct Scored {
-  Hypothesis h;
-  std::uint64_t weight;
-};
-
-/// Accumulates lattice-merge time and heap churn inside a sampled period
-/// (the profiler's lub_merge phase); null when the period is not sampled,
-/// so the unsampled hot path never reads a clock.
-struct MergeTimer {
-  std::uint64_t ns{0};
-  std::uint64_t calls{0};
-  std::uint64_t alloc_bytes{0};
-  std::uint64_t allocs{0};
-};
-
-/// The bounded, weight-ascending hypothesis list of §3.2: adding a
-/// hypothesis beyond the bound merges the two least-weight (most specific)
-/// members into their least upper bound, with the union of their
-/// assumption sets (see DESIGN.md §2 for this choice).
-class BoundedList {
- public:
-  BoundedList(std::size_t bound, LearnStats& stats,
-              MergeTimer* merge_timer = nullptr)
-      : bound_(bound), stats_(stats), merge_timer_(merge_timer) {}
-
-  [[nodiscard]] bool empty() const { return items_.empty(); }
-
-  void add(Hypothesis h) {
-    Scored scored{std::move(h), 0};
-    scored.weight = scored.h.d.weight();
-    if (is_duplicate(scored)) return;
-    insert_sorted(std::move(scored));
-    while (items_.size() > bound_) merge_two_least();
-  }
-
-  std::vector<Hypothesis> take() {
-    std::vector<Hypothesis> out;
-    out.reserve(items_.size());
-    for (auto& s : items_) out.push_back(std::move(s.h));
-    items_.clear();
-    return out;
-  }
-
- private:
-  /// Set semantics: duplicates would burn bound slots for nothing (the
-  /// exact learner unifies eagerly too).
-  [[nodiscard]] bool is_duplicate(const Scored& s) const {
-    for (const Scored& x : items_) {
-      if (x.weight == s.weight && x.h == s.h) return true;
-    }
-    return false;
-  }
-
-  void insert_sorted(Scored s) {
-    auto it = std::upper_bound(
-        items_.begin(), items_.end(), s.weight,
-        [](std::uint64_t w, const Scored& x) { return w < x.weight; });
-    items_.insert(it, std::move(s));
-  }
-
-  void merge_two_least() {
-    if (merge_timer_ != nullptr) {
-      const obs::AllocCounters a0 = obs::thread_alloc_counters();
-      const std::uint64_t start = obs::now_ns();
-      merge_two_least_impl();
-      merge_timer_->ns += obs::now_ns() - start;
-      const obs::AllocCounters d =
-          obs::alloc_delta(a0, obs::thread_alloc_counters());
-      merge_timer_->alloc_bytes += d.bytes;
-      merge_timer_->allocs += d.count;
-      ++merge_timer_->calls;
-      return;
-    }
-    merge_two_least_impl();
-  }
-
-  void merge_two_least_impl() {
-    BBMG_ASSERT(items_.size() >= 2, "merge requires two hypotheses");
-    Scored a = std::move(items_[0]);
-    Scored b = std::move(items_[1]);
-    items_.erase(items_.begin(), items_.begin() + 2);
-    Hypothesis merged(a.h.d.lub(b.h.d), std::move(a.h.used));
-    merged.used.unite(b.h.used);
-    ++stats_.merges;
-    Scored scored{std::move(merged), 0};
-    scored.weight = scored.h.d.weight();
-    if (is_duplicate(scored)) return;
-    insert_sorted(std::move(scored));
-  }
-
-  std::size_t bound_;
-  LearnStats& stats_;
-  MergeTimer* merge_timer_{nullptr};
-  std::vector<Scored> items_;
-};
-
-}  // namespace
 
 OnlineLearner::OnlineLearner(std::size_t num_tasks, const OnlineConfig& config)
     : num_tasks_(num_tasks), config_(config), history_(num_tasks) {
@@ -157,6 +58,12 @@ void OnlineLearner::observe_period(const Period& period) {
   const obs::AllocCounters a_enumerated =
       sampled ? obs::thread_alloc_counters() : obs::AllocCounters{};
 
+  // The message loop works on keyed members (weight + Zobrist key), so a
+  // child's key is O(1) from its parent; keys live only for this period.
+  std::vector<KeyedHypothesis> front;
+  front.reserve(frontier_.size());
+  for (Hypothesis& h : frontier_) front.emplace_back(std::move(h));
+  BoundedList list(config_.bound, stats_, sampled ? &merge_timer : nullptr);
   for (std::size_t msg = 0; msg < pc.num_messages(); ++msg) {
     ++stats_.messages_processed;
     const auto& cands = pc.candidates(msg);
@@ -165,17 +72,14 @@ void OnlineLearner::observe_period(const Period& period) {
       // below performs (every frontier member against every candidate).
       vspace_stats_->on_message(
           cands.size(),
-          static_cast<std::uint64_t>(frontier_.size()) * cands.size());
+          static_cast<std::uint64_t>(front.size()) * cands.size());
     }
 
-    BoundedList list(config_.bound, stats_, sampled ? &merge_timer : nullptr);
-    for (const Hypothesis& h : frontier_) {
+    for (const KeyedHypothesis& h : front) {
       for (const CandidatePair& p : cands) {
-        if (h.pair_used(p)) continue;
-        Hypothesis child = h;
-        child.assume(p, history_);
+        if (h.h.pair_used(p)) continue;
         ++stats_.hypotheses_created;
-        list.add(std::move(child));
+        list.add_child(h, p, history_);
       }
     }
 
@@ -186,10 +90,12 @@ void OnlineLearner::observe_period(const Period& period) {
       // member remains an upper bound of a matching hypothesis.
       ++stats_.unexplained_messages;
     } else {
-      frontier_ = list.take();
+      list.take(front);
     }
-    stats_.peak_hypotheses = std::max(stats_.peak_hypotheses, frontier_.size());
+    stats_.peak_hypotheses = std::max(stats_.peak_hypotheses, front.size());
   }
+  frontier_.clear();
+  for (KeyedHypothesis& h : front) frontier_.push_back(std::move(h.h));
   const std::uint64_t t_branched = sampled ? obs::now_ns() : 0;
   const obs::PerfSample hw_branched =
       hw != nullptr ? hw->read() : obs::PerfSample{};
@@ -459,8 +365,14 @@ OnlineLearner OnlineLearner::decode_state(ByteReader& r) {
 }
 
 LearnResult OnlineLearner::snapshot() const {
+  LearnResult result = model_snapshot();
+  result.stats.frontier_after_period = stats_.frontier_after_period;
+  return result;
+}
+
+LearnResult OnlineLearner::model_snapshot() const {
   LearnResult result;
-  result.stats = stats_;
+  result.stats = stats_.counters();
   result.hypotheses.reserve(frontier_.size());
   for (const auto& h : frontier_) result.hypotheses.push_back(h.d);
   std::sort(result.hypotheses.begin(), result.hypotheses.end(),

@@ -57,6 +57,11 @@ class OnlineLearner {
   /// Copy out matrices + stats in the batch-result shape.
   [[nodiscard]] LearnResult snapshot() const;
 
+  /// snapshot() without stats.frontier_after_period: O(frontier) whatever
+  /// the period count — what the serve layer publishes every period (the
+  /// wire never carries the per-period trace).
+  [[nodiscard]] LearnResult model_snapshot() const;
+
   /// Attach a live version-space stats sink (core/vspace_stats.hpp): the
   /// branching loop feeds per-message branching/scan histograms and every
   /// period updates the frontier size/bytes.  Not owned; null detaches.

@@ -200,6 +200,7 @@ void recover_session(const DurableConfig& config, const fs::path& dir,
   m.recovered_sessions.inc(1);
   m.replayed_periods.inc(replayed);
   report.replayed_periods += replayed;
+  ++report.recovered;
   report.sessions.push_back(RecoveredSession{
       std::move(snap->meta), last, stats_acc.summary(), std::move(learner),
       std::move(store), replayed});
@@ -226,14 +227,27 @@ std::string quarantine_file(const std::string& data_dir,
 }
 
 std::string RecoveryReport::summary_line() const {
-  return "durable: recovered " + std::to_string(sessions.size()) +
+  return "durable: recovered " + std::to_string(recovered) +
          " session(s), replayed " + std::to_string(replayed_periods) +
          " WAL period(s), truncated " + std::to_string(torn_tails) +
          " torn tail(s), quarantined " +
          std::to_string(quarantined_files.size()) + " file(s)";
 }
 
-RecoveryReport recover_all(const DurableConfig& config) {
+RecoveryReport recover_one(const DurableConfig& config,
+                           std::uint32_t session) {
+  RecoveryReport report;
+  const fs::path dir = fs::path(config.dir) / session_dirname(session);
+  std::error_code ec;
+  if (config.enabled() && fs::is_directory(dir, ec)) {
+    recover_session(config, dir, session, report);
+  }
+  return report;
+}
+
+RecoveryReport recover_all(
+    const DurableConfig& config,
+    const std::function<void(RecoveredSession&&)>& sink) {
   RecoveryReport report;
   if (!config.enabled()) return report;
   const std::uint64_t t0 = obs::now_ns();
@@ -254,11 +268,15 @@ RecoveryReport recover_all(const DurableConfig& config) {
 
   for (const auto& [id, dir] : session_dirs) {
     recover_session(config, dir, id, report);
+    if (sink && !report.sessions.empty()) {
+      sink(std::move(report.sessions.back()));
+      report.sessions.pop_back();
+    }
   }
 
   DurableMetrics::get().recovery_us.observe((obs::now_ns() - t0) / 1000);
   BBMG_LOG_INFO("durable.recovery", report.summary_line(),
-                {{"sessions", report.sessions.size()},
+                {{"sessions", report.recovered},
                  {"replayed", report.replayed_periods},
                  {"torn_tails", report.torn_tails},
                  {"quarantined", report.quarantined_files.size()}});

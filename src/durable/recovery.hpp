@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,7 +42,10 @@ struct RecoveredSession {
 };
 
 struct RecoveryReport {
+  /// Recovered sessions (empty when recover_all streamed them to a sink).
   std::vector<RecoveredSession> sessions;
+  /// Sessions recovered, whether kept in `sessions` or streamed.
+  std::size_t recovered{0};
   /// Destination paths of files moved to quarantine.
   std::vector<std::string> quarantined_files;
   /// Human-readable account of every non-clean decision.
@@ -55,8 +59,17 @@ struct RecoveryReport {
 /// Scan `config.dir` and recover every session.  Creates the directory if
 /// missing (fresh start).  Throws only on environmental failures (e.g.
 /// the data dir cannot be created) — damaged session state is quarantined,
-/// never fatal.
-[[nodiscard]] RecoveryReport recover_all(const DurableConfig& config);
+/// never fatal.  With a `sink`, each recovered session is handed to it as
+/// soon as it is rebuilt instead of being kept in the report, so the
+/// caller never holds every session at once.
+[[nodiscard]] RecoveryReport recover_all(
+    const DurableConfig& config,
+    const std::function<void(RecoveredSession&&)>& sink = {});
+
+/// Recover just `<config.dir>/session-<session>` under the same rules as
+/// recover_all; the report holds no session when nothing usable is there.
+[[nodiscard]] RecoveryReport recover_one(const DurableConfig& config,
+                                         std::uint32_t session);
 
 /// Move `path` into `<data_dir>/quarantine/`, uniquified if needed.
 /// Returns the destination path ("" if the move itself failed — the file

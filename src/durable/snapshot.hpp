@@ -44,7 +44,7 @@ inline constexpr std::size_t kMaxSnapshotPayload = 256u * 1024 * 1024;
 /// so the dependency points serve -> durable and not back.
 struct SessionMeta {
   std::uint32_t session{0};
-  std::vector<std::string> task_names;
+  TaskNames task_names;
   RobustConfig config;
   /// Serve-layer publish interval (periods between snapshot publications);
   /// 0 = serve default.  Carried so a recovered session behaves like the

@@ -17,7 +17,10 @@ std::string session_dirname(std::uint32_t session) {
 
 SessionStore::SessionStore(const DurableConfig& config, SessionMeta meta,
                            std::string dir)
-    : config_(config), meta_(std::move(meta)), dir_(std::move(dir)) {}
+    : fsync_every_(config.fsync_every),
+      snapshot_every_(config.snapshot_every),
+      meta_(std::move(meta)),
+      dir_(std::move(dir)) {}
 
 std::unique_ptr<SessionStore> SessionStore::create(
     const DurableConfig& config, SessionMeta meta,
@@ -73,9 +76,14 @@ std::uint64_t SessionStore::flush() {
 }
 
 bool SessionStore::should_compact(std::uint64_t seq) const {
-  if (config_.snapshot_every == 0) return false;
+  if (snapshot_every_ == 0) return false;
   std::lock_guard<std::mutex> lock(mu_);
-  return seq >= last_snapshot_seq_ + config_.snapshot_every;
+  return seq >= last_snapshot_seq_ + snapshot_every_;
+}
+
+std::uint64_t SessionStore::snapshot_seq() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return last_snapshot_seq_;
 }
 
 void SessionStore::write_snapshot(std::uint64_t seq,
@@ -97,7 +105,7 @@ void SessionStore::write_snapshot(std::uint64_t seq,
     wal_.rotate(seq);
   } else {
     const std::string wal_path = (fs::path(dir_) / kWalFilename).string();
-    wal_.create(wal_path, meta_.session, seq, config_.fsync_every);
+    wal_.create(wal_path, meta_.session, seq, fsync_every_);
   }
 
   auto& m = DurableMetrics::get();

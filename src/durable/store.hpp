@@ -82,6 +82,8 @@ class SessionStore {
   /// True when `seq` has advanced snapshot_every periods past the last
   /// snapshot (periodic compaction trigger).
   [[nodiscard]] bool should_compact(std::uint64_t seq) const;
+  /// Seq of the newest snapshot written or recovered from.
+  [[nodiscard]] std::uint64_t snapshot_seq() const;
 
   [[nodiscard]] const SessionMeta& meta() const { return meta_; }
   [[nodiscard]] const std::string& dir() const { return dir_; }
@@ -93,7 +95,10 @@ class SessionStore {
   void prune_snapshots_locked();
 
   mutable std::mutex mu_;
-  DurableConfig config_;
+  // The knobs of DurableConfig a store uses; its data-dir root lives on
+  // only as the prefix of dir_ (one path per session).
+  std::size_t fsync_every_;
+  std::size_t snapshot_every_;
   SessionMeta meta_;
   std::string dir_;  // <config.dir>/session-<id>
   WalWriter wal_;

@@ -18,14 +18,19 @@ namespace bbmg::durable {
 
 namespace {
 
+/// "session <id> WAL": how errors name a log (writers keep no path).
+std::string wal_name(std::uint32_t session) {
+  return "session " + std::to_string(session) + " WAL";
+}
+
 void write_fd_all(int fd, const std::uint8_t* data, std::size_t size,
-                  const std::string& path) {
+                  std::uint32_t session) {
   std::size_t off = 0;
   while (off < size) {
     const ssize_t n = ::write(fd, data + off, size - off);
     if (n < 0) {
       if (errno == EINTR) continue;
-      raise("durable: WAL write failed for " + path + ": " +
+      raise("durable: write failed for " + wal_name(session) + ": " +
             std::strerror(errno));
     }
     off += static_cast<std::size_t>(n);
@@ -110,7 +115,6 @@ WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
-    path_ = std::move(other.path_);
     session_ = other.session_;
     base_seq_ = other.base_seq_;
     last_seq_ = other.last_seq_;
@@ -136,9 +140,10 @@ void WalWriter::write_header() {
   append_u16(header, kWalVersion);
   append_u32(header, session_);
   append_u64(header, base_seq_);
-  write_fd_all(fd_, header.data(), header.size(), path_);
+  write_fd_all(fd_, header.data(), header.size(), session_);
   if (::fsync(fd_) != 0) {
-    raise("durable: fsync failed for " + path_ + ": " + std::strerror(errno));
+    raise("durable: fsync failed for " + wal_name(session_) + ": " +
+          std::strerror(errno));
   }
   DurableMetrics::get().wal_fsyncs.inc(1);
 }
@@ -150,7 +155,6 @@ void WalWriter::create(const std::string& path, std::uint32_t session,
   if (fd_ < 0) {
     raise("durable: cannot create WAL " + path + ": " + std::strerror(errno));
   }
-  path_ = path;
   session_ = session;
   base_seq_ = base_seq;
   last_seq_ = base_seq;
@@ -167,7 +171,6 @@ void WalWriter::open(const std::string& path, std::uint32_t session,
   if (fd_ < 0) {
     raise("durable: cannot reopen WAL " + path + ": " + std::strerror(errno));
   }
-  path_ = path;
   session_ = session;
   base_seq_ = base_seq;
   last_seq_ = last_seq;
@@ -199,7 +202,7 @@ void WalWriter::append(std::uint64_t seq, const std::vector<Event>& events) {
 
   // One write(2) per record: a process kill can only tear the final
   // record, which scan_wal detects and truncates.
-  write_fd_all(fd_, record.data(), record.size(), path_);
+  write_fd_all(fd_, record.data(), record.size(), session_);
   last_seq_ = seq;
 
   auto& m = DurableMetrics::get();
@@ -211,7 +214,7 @@ void WalWriter::append(std::uint64_t seq, const std::vector<Event>& events) {
   if (++unsynced_ >= fsync_every_) {
     const std::uint64_t fsync_start = obs::now_ns();
     if (::fsync(fd_) != 0) {
-      raise("durable: fsync failed for " + path_ + ": " +
+      raise("durable: fsync failed for " + wal_name(session_) + ": " +
             std::strerror(errno));
     }
     obs::record_current_stage("server.fsync", fsync_start, obs::now_ns());
@@ -225,7 +228,7 @@ std::uint64_t WalWriter::flush() {
   BBMG_ASSERT(is_open(), "durable: flush on a closed WAL");
   if (unsynced_ > 0) {
     if (::fsync(fd_) != 0) {
-      raise("durable: fsync failed for " + path_ + ": " +
+      raise("durable: fsync failed for " + wal_name(session_) + ": " +
             std::strerror(errno));
     }
     DurableMetrics::get().wal_fsyncs.inc(1);
@@ -239,11 +242,12 @@ void WalWriter::rotate(std::uint64_t base_seq) {
   BBMG_REQUIRE(base_seq >= base_seq_,
                "durable: WAL rotation must not move the base backwards");
   if (::ftruncate(fd_, 0) != 0) {
-    raise("durable: ftruncate failed for " + path_ + ": " +
+    raise("durable: ftruncate failed for " + wal_name(session_) + ": " +
           std::strerror(errno));
   }
   if (::lseek(fd_, 0, SEEK_SET) < 0) {
-    raise("durable: lseek failed for " + path_ + ": " + std::strerror(errno));
+    raise("durable: lseek failed for " + wal_name(session_) + ": " +
+          std::strerror(errno));
   }
   base_seq_ = base_seq;
   last_seq_ = base_seq;

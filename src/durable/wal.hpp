@@ -90,8 +90,7 @@ class WalWriter {
   void write_header();
 
   int fd_{-1};
-  std::string path_;
-  std::uint32_t session_{0};
+  std::uint32_t session_{0};  // also names the log in error messages
   std::uint64_t base_seq_{0};
   std::uint64_t last_seq_{0};
   std::size_t fsync_every_{32};

@@ -69,6 +69,25 @@ std::uint64_t DependencyMatrix::hash() const {
   return h;
 }
 
+std::uint64_t DependencyMatrix::zobrist_key() const {
+  std::uint64_t key = 0;
+  for (std::size_t i = 0; i < cells_.size(); ++i) key ^= cell_key(i, cells_[i]);
+  return key;
+}
+
+void DependencyMatrix::lub_assign(const DependencyMatrix& other,
+                                  std::uint64_t& weight, std::uint64_t& key) {
+  BBMG_REQUIRE(n_ == other.n_, "matrix size mismatch");
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    const DepValue old = cells_[i];
+    const DepValue v = dep_lub(old, other.cells_[i]);
+    if (v == old) continue;
+    weight += dep_distance(v) - dep_distance(old);
+    key ^= cell_key(i, old) ^ cell_key(i, v);
+    cells_[i] = v;
+  }
+}
+
 std::string DependencyMatrix::to_table(
     const std::vector<std::string>& names) const {
   auto name_of = [&](std::size_t i) -> std::string {

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "lattice/dependency_value.hpp"
 
@@ -60,6 +61,29 @@ class DependencyMatrix {
 
   /// FNV-ish content hash (used by the learner's dedup tables).
   [[nodiscard]] std::uint64_t hash() const;
+
+  /// Zobrist term of one row-major cell holding `v`: a stateless mix of
+  /// (cell, value), with || contributing 0 so d_bot keys to 0.  A matrix's
+  /// key is the XOR of its cells' terms, so changing one cell updates the
+  /// key in O(1) (the bounded learner's duplicate detection).
+  [[nodiscard]] static std::uint64_t cell_key(std::size_t cell, DepValue v) {
+    return v == DepValue::Parallel
+               ? 0
+               : mix64(cell * 8 + static_cast<std::uint64_t>(v));
+  }
+
+  /// XOR of cell_key over every cell (O(t^2); the learner keeps keys
+  /// incrementally and calls this once per hypothesis per period).
+  [[nodiscard]] std::uint64_t zobrist_key() const;
+
+  /// In place *this = lub(*this, other).  `weight` and `key` enter as this
+  /// matrix's weight() and zobrist_key() and leave as the result's, updated
+  /// in the same pass for every cell the join raises.
+  void lub_assign(const DependencyMatrix& other, std::uint64_t& weight,
+                  std::uint64_t& key);
+
+  /// Row-major cells (diagonal included, always ||).
+  [[nodiscard]] const std::vector<DepValue>& cells() const { return cells_; }
 
   friend bool operator==(const DependencyMatrix& a, const DependencyMatrix& b) {
     return a.n_ == b.n_ && a.cells_ == b.cells_;

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <chrono>
 
+#include "common/rng.hpp"
+
 namespace bbmg::obs {
 
 #if BBMG_OBS_ENABLED
@@ -11,17 +13,10 @@ namespace {
 
 thread_local TraceContext t_current{};
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t process_seed() {
   // Wall-clock nanoseconds mixed with an address from this mapping: two
   // processes minting ids in the same nanosecond still diverge.
-  static const std::uint64_t seed = splitmix64(
+  static const std::uint64_t seed = mix64(
       static_cast<std::uint64_t>(std::chrono::system_clock::now()
                                      .time_since_epoch()
                                      .count()) ^
@@ -33,7 +28,7 @@ std::uint64_t process_seed() {
 
 std::uint64_t mint_id() {
   static std::atomic<std::uint64_t> next{1};
-  const std::uint64_t id = splitmix64(
+  const std::uint64_t id = mix64(
       process_seed() + next.fetch_add(1, std::memory_order_relaxed));
   return id == 0 ? 1 : id;
 }

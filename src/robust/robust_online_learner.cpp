@@ -20,7 +20,7 @@ std::string_view health_state_name(HealthState s) {
   return "?";
 }
 
-RobustOnlineLearner::RobustOnlineLearner(std::vector<std::string> task_names,
+RobustOnlineLearner::RobustOnlineLearner(TaskNames task_names,
                                          RobustConfig config)
     : config_(config),
       sanitizer_(std::move(task_names), config.sanitize),
@@ -99,7 +99,7 @@ HealthState RobustOnlineLearner::health() const {
 
 RobustSnapshot RobustOnlineLearner::full_snapshot() const {
   RobustSnapshot snap;
-  snap.result = learner_.snapshot();
+  snap.result = learner_.model_snapshot();
   snap.health = health();
   snap.periods_seen = seen_;
   snap.periods_learned = periods_learned();
@@ -130,7 +130,7 @@ void RobustOnlineLearner::encode_state(std::vector<std::uint8_t>& out) const {
 }
 
 RobustOnlineLearner RobustOnlineLearner::decode_state(
-    std::vector<std::string> task_names, const RobustConfig& config,
+    TaskNames task_names, const RobustConfig& config,
     ByteReader& r) {
   RobustOnlineLearner rl(std::move(task_names), config);
   rl.seen_ = r.read_u64();

@@ -61,7 +61,7 @@ struct RobustConfig {
 
 class RobustOnlineLearner {
  public:
-  explicit RobustOnlineLearner(std::vector<std::string> task_names,
+  explicit RobustOnlineLearner(TaskNames task_names,
                                RobustConfig config = {});
 
   /// Sanitize one raw period and either learn from it or quarantine it.
@@ -87,6 +87,9 @@ class RobustOnlineLearner {
     return defects_;
   }
   [[nodiscard]] const OnlineLearner& learner() const { return learner_; }
+  [[nodiscard]] const TaskNames& task_names() const {
+    return sanitizer_.task_names();
+  }
   [[nodiscard]] const RobustConfig& config() const { return config_; }
 
   /// Copy out matrices + stats in the batch-result shape (includes the
@@ -100,8 +103,9 @@ class RobustOnlineLearner {
   /// quadratic in the per-event fault rate.
   [[nodiscard]] LearnResult snapshot() const { return learner_.snapshot(); }
 
-  /// snapshot() plus health and quarantine accounting in one consistent
-  /// copy; the serve layer's publication hook.
+  /// The model (OnlineLearner::model_snapshot, so no per-period trace)
+  /// plus health and quarantine accounting in one consistent copy; the
+  /// serve layer's publication hook.
   [[nodiscard]] RobustSnapshot full_snapshot() const;
 
   /// Live version-space introspection, sampled inside observe: frontier
@@ -128,7 +132,7 @@ class RobustOnlineLearner {
   // bbmg::Error on malformed input.
   void encode_state(std::vector<std::uint8_t>& out) const;
   [[nodiscard]] static RobustOnlineLearner decode_state(
-      std::vector<std::string> task_names, const RobustConfig& config,
+      TaskNames task_names, const RobustConfig& config,
       ByteReader& r);
 
  private:

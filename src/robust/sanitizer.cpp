@@ -94,7 +94,7 @@ std::string_view defect_kind_slug(DefectKind k) {
   return "unknown";
 }
 
-TraceSanitizer::TraceSanitizer(std::vector<std::string> task_names,
+TraceSanitizer::TraceSanitizer(TaskNames task_names,
                                SanitizeConfig config)
     : task_names_(std::move(task_names)), config_(config) {
   BBMG_REQUIRE(!task_names_.empty(), "sanitizer needs at least one task");

@@ -31,6 +31,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/task_names.hpp"
 #include "trace/event.hpp"
 #include "trace/trace.hpp"
 
@@ -149,11 +150,11 @@ struct SanitizeResult {
 
 class TraceSanitizer {
  public:
-  explicit TraceSanitizer(std::vector<std::string> task_names,
+  explicit TraceSanitizer(TaskNames task_names,
                           SanitizeConfig config = {});
 
   [[nodiscard]] const SanitizeConfig& config() const { return config_; }
-  [[nodiscard]] const std::vector<std::string>& task_names() const {
+  [[nodiscard]] const TaskNames& task_names() const {
     return task_names_;
   }
 
@@ -168,7 +169,7 @@ class TraceSanitizer {
       const std::vector<std::vector<Event>>& raw_periods) const;
 
  private:
-  std::vector<std::string> task_names_;
+  TaskNames task_names_;
   SanitizeConfig config_;
 };
 

@@ -38,6 +38,10 @@ struct ServeMetrics {
   /// Sessions poisoned by an apply/WAL failure (the worker survives; the
   /// session refuses further periods).
   obs::Counter& session_failures;
+  /// Quiescent durable sessions dropped from memory past kWarmSessionCap.
+  obs::Counter& sessions_evicted;
+  /// Evicted sessions rebuilt from their snapshot + WAL on next use.
+  obs::Counter& sessions_rehydrated;
   /// ResilientClient request attempts that failed and were retried.
   obs::Counter& client_retries;
   /// ResilientClient reconnect cycles (connect + hello + resume).
@@ -87,6 +91,8 @@ struct ServeMetrics {
         r.counter("bbmg_serve_queries_total"),
         r.counter("bbmg_serve_duplicate_periods_total"),
         r.counter("bbmg_serve_session_failures_total"),
+        r.counter("bbmg_serve_sessions_evicted_total"),
+        r.counter("bbmg_serve_sessions_rehydrated_total"),
         r.counter("bbmg_serve_client_retries_total"),
         r.counter("bbmg_serve_client_reconnects_total"),
         r.counter("bbmg_serve_resent_periods_total"),

@@ -237,8 +237,13 @@ void Server::serve_connection(int fd) {
             net::write_frame(fd, err.to_frame());
             break;
           }
-          std::vector<Event> events = std::move(pending[msg.session]);
-          pending[msg.session].clear();
+          // Take the buffer out of the map: a connection that uploads
+          // session after session must not keep an entry for each.
+          std::vector<Event> events;
+          if (const auto it = pending.find(msg.session); it != pending.end()) {
+            events = std::move(it->second);
+            pending.erase(it);
+          }
           // server.ack covers the blocking handoff to the shard queue —
           // the point after which the client's period is the server's
           // responsibility (backpressure shows up as a long ack span).

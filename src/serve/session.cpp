@@ -1,30 +1,25 @@
 #include "serve/session.hpp"
 
+#include "common/error.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_context.hpp"
 #include "serve/serve_metrics.hpp"
 
 namespace bbmg {
 
-LearningSession::LearningSession(SessionId id,
-                                 std::vector<std::string> task_names,
+LearningSession::LearningSession(SessionId id, TaskNames task_names,
                                  SessionConfig config)
-    : id_(id),
-      task_names_(std::move(task_names)),
-      config_(config),
-      learner_(task_names_, config.robust) {
+    : id_(id), config_(config), learner_(std::move(task_names), config.robust) {
   if (config_.snapshot_interval == 0) config_.snapshot_interval = 1;
   snapshot_ = std::make_shared<const RobustSnapshot>(learner_.full_snapshot());
 }
 
-LearningSession::LearningSession(SessionId id,
-                                 std::vector<std::string> task_names,
+LearningSession::LearningSession(SessionId id, TaskNames task_names,
                                  SessionConfig config,
                                  RestoredSessionState restored)
-    : id_(id),
-      task_names_(std::move(task_names)),
-      config_(config),
-      learner_(std::move(restored.learner)) {
+    : id_(id), config_(config), learner_(std::move(restored.learner)) {
+  BBMG_REQUIRE(learner_.task_names() == task_names,
+               "restored learner has a different task universe");
   if (config_.snapshot_interval == 0) config_.snapshot_interval = 1;
   // Seed the accounting so accepted == processed == the recovered seq:
   // drain() is immediately satisfied and the next applied period lands at
@@ -32,6 +27,7 @@ LearningSession::LearningSession(SessionId id,
   accepted_.add(restored.seq);
   processed_ = static_cast<std::size_t>(restored.seq);
   last_enqueued_seq_.store(restored.seq, std::memory_order_relaxed);
+  flushed_seq_.store(restored.seq, std::memory_order_relaxed);
   stream_stats_.restore(restored.stats);
   snapshot_ = std::make_shared<const RobustSnapshot>(learner_.full_snapshot());
 }
@@ -54,8 +50,17 @@ void LearningSession::release_seq(std::uint64_t seq) {
 }
 
 std::uint64_t LearningSession::flush_durable() {
-  if (store_) return store_->flush();
-  return static_cast<std::uint64_t>(processed());
+  if (!store_) return static_cast<std::uint64_t>(processed());
+  const std::uint64_t mark = store_->flush();
+  flushed_seq_.store(mark, std::memory_order_relaxed);
+  return mark;
+}
+
+bool LearningSession::quiescent() const {
+  if (!store_ || failed()) return false;
+  const std::size_t done = processed();
+  return done == accepted() &&
+         flushed_seq_.load(std::memory_order_relaxed) == done;
 }
 
 void LearningSession::checkpoint() {

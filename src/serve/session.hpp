@@ -61,18 +61,19 @@ struct RestoredSessionState {
 
 class LearningSession {
  public:
-  LearningSession(SessionId id, std::vector<std::string> task_names,
-                  SessionConfig config);
+  LearningSession(SessionId id, TaskNames task_names, SessionConfig config);
 
   /// Restore from a recovered snapshot+WAL state: the session continues
   /// exactly where the pre-crash one stopped (processed == seq, counters
   /// seeded, first published snapshot is the recovered model).
-  LearningSession(SessionId id, std::vector<std::string> task_names,
-                  SessionConfig config, RestoredSessionState restored);
+  LearningSession(SessionId id, TaskNames task_names, SessionConfig config,
+                  RestoredSessionState restored);
 
   [[nodiscard]] SessionId id() const { return id_; }
-  [[nodiscard]] const std::vector<std::string>& task_names() const {
-    return task_names_;
+  /// Immutable after construction (the learner's sanitizer holds it), so
+  /// readable from any thread.
+  [[nodiscard]] const TaskNames& task_names() const {
+    return learner_.task_names();
   }
   [[nodiscard]] const SessionConfig& config() const { return config_; }
 
@@ -180,6 +181,11 @@ class LearningSession {
   /// drain() first so the mark covers everything already submitted.
   std::uint64_t flush_durable();
 
+  /// Durable, healthy, nothing queued, and every processed period flushed:
+  /// the on-disk snapshot + WAL hold all of this session's state, so the
+  /// manager may drop it from memory and rebuild it on next use.
+  [[nodiscard]] bool quiescent() const;
+
   /// Write a final snapshot at the current processed count (graceful
   /// shutdown).  Only call when no worker can touch the learner any more
   /// (i.e. after the manager's pool has been joined).
@@ -189,7 +195,6 @@ class LearningSession {
   void publish();
 
   SessionId id_;
-  std::vector<std::string> task_names_;
   SessionConfig config_;
   RobustOnlineLearner learner_;  // worker thread only, after construction
   std::size_t since_publish_{0};
@@ -211,6 +216,8 @@ class LearningSession {
   /// Highest client-assigned sequence number accepted for enqueue
   /// (duplicate-resend guard; 0 = nothing sequenced yet).
   std::atomic<std::uint64_t> last_enqueued_seq_{0};
+  /// Durable high-water mark returned by the last flush_durable().
+  std::atomic<std::uint64_t> flushed_seq_{0};
 
   /// Replication tap; shared across sessions, swapped under state_mu_.
   std::shared_ptr<const ShipHook> ship_hook_;

@@ -37,7 +37,7 @@ SessionManager::SessionManager(ManagerConfig config)
     queue_depth_.push_back(&ServeMetrics::queue_depth(i));
   }
   // Recover before the workers start so no submission can race the
-  // rebuild of sessions_.
+  // rebuild of slots_.
   if (config_.durable.enabled()) recover_sessions();
   workers_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
@@ -46,42 +46,158 @@ SessionManager::SessionManager(ManagerConfig config)
 }
 
 void SessionManager::recover_sessions() {
-  durable::RecoveryReport report = durable::recover_all(config_.durable);
+  // open_session() allocates ids densely from zero, so any huge recovered
+  // id can only come from a forged/mangled data-dir entry; honoring it
+  // would drive a multi-GB slots_ resize (or a bad_alloc abort) below.
+  constexpr std::uint32_t kMaxRecoverableSessionId = 1u << 20;
+  // Streamed: each session is installed (and the cap enforced) as soon as
+  // it is rebuilt, so startup never holds every session at once.
+  durable::RecoveryReport report = durable::recover_all(
+      config_.durable, [&](durable::RecoveredSession&& rec) {
+        const std::uint32_t id = rec.meta.session;
+        if (id > kMaxRecoverableSessionId) {
+          recovery_.diagnostics.push_back(
+              "session " + std::to_string(id) +
+              ": id beyond the recoverable cap (" +
+              std::to_string(kMaxRecoverableSessionId) + "); ignored");
+          return;
+        }
+        Victims victims;
+        {
+          std::lock_guard<std::mutex> lock(sessions_mu_);
+          if (id < slots_.size() &&
+              slots_[id].residency != Residency::kNone) {
+            recovery_.diagnostics.push_back(
+                "session " + std::to_string(id) +
+                ": duplicate recovered id ignored");
+            return;
+          }
+          victims = make_resident_locked(id, make_recovered(std::move(rec)));
+        }
+        spill(std::move(victims));
+        ++recovery_.sessions;
+      });
   recovery_.replayed_periods = report.replayed_periods;
   recovery_.torn_tails = report.torn_tails;
   recovery_.quarantined_files = report.quarantined_files.size();
-  recovery_.diagnostics = std::move(report.diagnostics);
-  // open_session() allocates ids densely from zero, so any huge recovered
-  // id can only come from a forged/mangled data-dir entry; honoring it
-  // would drive a multi-GB sessions_ resize (or a bad_alloc abort) below.
-  constexpr std::uint32_t kMaxRecoverableSessionId = 1u << 20;
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  for (durable::RecoveredSession& rec : report.sessions) {
-    if (rec.meta.session > kMaxRecoverableSessionId) {
-      recovery_.diagnostics.push_back(
-          "session " + std::to_string(rec.meta.session) +
-          ": id beyond the recoverable cap (" +
-          std::to_string(kMaxRecoverableSessionId) + "); ignored");
+  recovery_.diagnostics.insert(recovery_.diagnostics.begin(),
+                               report.diagnostics.begin(),
+                               report.diagnostics.end());
+}
+
+std::shared_ptr<LearningSession> SessionManager::make_recovered(
+    durable::RecoveredSession rec) const {
+  SessionConfig cfg;
+  cfg.robust = rec.meta.config;
+  cfg.snapshot_interval = rec.meta.snapshot_interval;
+  auto session = std::make_shared<LearningSession>(
+      SessionId{rec.meta.session}, names_.intern(rec.meta.task_names), cfg,
+      RestoredSessionState{std::move(rec.learner), rec.stats, rec.seq});
+  session->attach_store(std::move(rec.store));
+  return session;
+}
+
+SessionManager::Victims SessionManager::make_resident_locked(
+    std::size_t index, std::shared_ptr<LearningSession> session) const {
+  if (index >= slots_.size()) slots_.resize(index + 1);
+  Slot& slot = slots_[index];
+  session->set_ship_hook(ship_hook_);
+  if (slot.closed) session->mark_closed();
+  slot.session = std::move(session);
+  slot.residency = Residency::kResident;
+  slot.lru = lru_.insert(lru_.begin(), static_cast<std::uint32_t>(index));
+  return evict_locked();
+}
+
+SessionManager::Victims SessionManager::evict_locked() const {
+  Victims victims;
+  // In-memory sessions have nowhere to go.
+  if (!config_.durable.enabled()) return victims;
+  // Each step either evicts or moves a busy session to the warm end, so a
+  // call inspects each resident session at most once, and usually stops
+  // at the first.
+  for (std::size_t budget = lru_.size();
+       lru_.size() > kWarmSessionCap && budget > 0; --budget) {
+    Slot& slot = slots_[lru_.back()];
+    // Only sessions no one else holds (no queued period, no request in
+    // flight) and whose periods are all flushed qualify.
+    if (slot.session.use_count() != 1 || !slot.session->quiescent()) {
+      lru_.splice(lru_.begin(), lru_, slot.lru);
       continue;
     }
-    const SessionId id{rec.meta.session};
-    if (id.index() >= sessions_.size()) sessions_.resize(id.index() + 1);
-    if (sessions_[id.index()] != nullptr) {
-      recovery_.diagnostics.push_back(
-          "session " + std::to_string(rec.meta.session) +
-          ": duplicate recovered id ignored");
-      continue;
-    }
-    SessionConfig cfg;
-    cfg.robust = rec.meta.config;
-    cfg.snapshot_interval = rec.meta.snapshot_interval;
-    auto session = std::make_shared<LearningSession>(
-        id, rec.meta.task_names, cfg,
-        RestoredSessionState{std::move(rec.learner), rec.stats, rec.seq});
-    session->attach_store(std::move(rec.store));
-    sessions_[id.index()] = std::move(session);
-    ++recovery_.sessions;
+    slot.closed = slot.session->closed();
+    slot.residency = Residency::kSpilling;
+    victims.push_back(std::move(slot.session));
+    lru_.pop_back();
   }
+  return victims;
+}
+
+void SessionManager::spill(Victims victims) const {
+  for (std::shared_ptr<LearningSession>& session : victims) {
+    const std::size_t index = session->id().index();
+    bool saved = true;
+    try {
+      // The snapshot makes the rebuild a load, with no WAL to replay.
+      if (session->store()->snapshot_seq() != session->processed()) {
+        session->checkpoint();
+      }
+    } catch (const std::exception& e) {
+      saved = false;
+      BBMG_LOG_ERROR("serve.evict_failed", e.what(), {{"session", index}});
+    }
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    if (saved) {
+      slots_[index].residency = Residency::kCold;
+      ServeMetrics::get().sessions_evicted.inc();
+    } else {
+      // Keep it (over the cap, until the next eviction): whatever the
+      // failed write left on disk, the session in memory is still exact.
+      Slot& slot = slots_[index];
+      if (slot.closed) session->mark_closed();
+      slot.session = std::move(session);
+      slot.residency = Residency::kResident;
+      slot.lru = lru_.insert(lru_.begin(), static_cast<std::uint32_t>(index));
+    }
+    settled_.notify_all();
+  }
+}
+
+std::shared_ptr<LearningSession> SessionManager::rebuild(
+    std::unique_lock<std::mutex>& lock, std::size_t index) const {
+  slots_[index].residency = Residency::kRebuilding;
+  lock.unlock();
+  std::shared_ptr<LearningSession> session;
+  std::string why;
+  try {
+    durable::RecoveryReport report = durable::recover_one(
+        config_.durable, static_cast<std::uint32_t>(index));
+    if (!report.sessions.empty()) {
+      session = make_recovered(std::move(report.sessions.front()));
+    }
+    for (const std::string& line : report.diagnostics) {
+      why += (why.empty() ? "" : "; ") + line;
+    }
+  } catch (const std::exception& e) {
+    why = e.what();
+  }
+  lock.lock();
+  settled_.notify_all();
+  if (!session) {
+    // The files were damaged or removed while the session was out of
+    // memory.  The id stays known (the next request retries) and the
+    // caller gets the reason.
+    slots_[index].residency = Residency::kCold;
+    if (why.empty()) why = "no usable state on disk";
+    BBMG_LOG_ERROR("serve.rebuild_failed", why, {{"session", index}});
+    raise("session " + std::to_string(index) + " cannot be rebuilt: " + why);
+  }
+  ServeMetrics::get().sessions_rehydrated.inc();
+  // `session` is held here, so it is never among the victims.
+  Victims victims = make_resident_locked(index, session);
+  lock.unlock();
+  spill(std::move(victims));
+  return session;
 }
 
 SessionManager::~SessionManager() { stop(); }
@@ -125,10 +241,10 @@ void SessionManager::worker_loop(std::size_t worker_index) {
   }
 }
 
-std::shared_ptr<LearningSession> SessionManager::create_session_locked(
-    SessionId id, std::vector<std::string> task_names, SessionConfig config) {
-  auto session =
-      std::make_shared<LearningSession>(id, std::move(task_names), config);
+SessionManager::Victims SessionManager::create_session_locked(
+    SessionId id, TaskNames task_names, SessionConfig config) {
+  auto session = std::make_shared<LearningSession>(
+      id, names_.intern(std::move(task_names)), config);
   if (config_.durable.enabled()) {
     durable::SessionMeta meta;
     meta.session = static_cast<std::uint32_t>(id.index());
@@ -144,19 +260,22 @@ std::shared_ptr<LearningSession> SessionManager::create_session_locked(
         config_.durable, std::move(meta), initial,
         StreamingTraceStats::Summary{}));
   }
-  session->set_ship_hook(ship_hook_);
-  if (id.index() >= sessions_.size()) sessions_.resize(id.index() + 1);
-  sessions_[id.index()] = session;
   ServeMetrics::get().sessions_opened.inc();
-  return session;
+  // `session` is held here, so it is never among the victims.
+  return make_resident_locked(id.index(), session);
 }
 
 SessionId SessionManager::open_session(std::vector<std::string> task_names,
                                        SessionConfig config) {
   BBMG_REQUIRE(!stopping_.load(), "manager is shutting down");
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  const SessionId id{sessions_.size()};
-  (void)create_session_locked(id, std::move(task_names), config);
+  Victims victims;
+  SessionId id{0u};
+  {
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    id = SessionId{slots_.size()};
+    victims = create_session_locked(id, std::move(task_names), config);
+  }
+  spill(std::move(victims));
   return id;
 }
 
@@ -165,30 +284,41 @@ SessionId SessionManager::open_session_with_id(
     SessionConfig config) {
   BBMG_REQUIRE(!stopping_.load(), "manager is shutting down");
   // Same forged-id guard as recovery: honoring a huge id would drive a
-  // multi-GB sessions_ resize.
+  // multi-GB slots_ resize.
   constexpr std::uint32_t kMaxExplicitSessionId = 1u << 20;
   BBMG_REQUIRE(id <= kMaxExplicitSessionId,
                "open_session_with_id: id beyond the recoverable cap");
   const SessionId sid{id};
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  if (sid.index() < sessions_.size() && sessions_[sid.index()] != nullptr) {
-    // Idempotent re-open (a replicator retrying a lost reply): accept iff
-    // the task universe matches; the learner state is untouched.
-    BBMG_REQUIRE(sessions_[sid.index()]->task_names() == task_names,
-                 "open_session_with_id: existing session has a different "
-                 "task universe");
+  for (;;) {
+    if (const auto existing = find(sid)) {
+      // Idempotent re-open (a replicator retrying a lost reply): accept
+      // iff the task universe matches; the learner state is untouched.
+      BBMG_REQUIRE(existing->task_names() == task_names,
+                   "open_session_with_id: existing session has a different "
+                   "task universe");
+      return sid;
+    }
+    Victims victims;
+    {
+      std::lock_guard<std::mutex> lock(sessions_mu_);
+      // Re-check under the lock: a concurrent open may have won the id.
+      if (sid.index() < slots_.size() &&
+          slots_[sid.index()].residency != Residency::kNone) {
+        continue;
+      }
+      victims = create_session_locked(sid, std::move(task_names), config);
+    }
+    spill(std::move(victims));
     return sid;
   }
-  (void)create_session_locked(sid, std::move(task_names), config);
-  return sid;
 }
 
 void SessionManager::set_ship_hook(ShipHook hook) {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   ship_hook_ = hook ? std::make_shared<const ShipHook>(std::move(hook))
                     : nullptr;
-  for (const auto& session : sessions_) {
-    if (session) session->set_ship_hook(ship_hook_);
+  for (const Slot& slot : slots_) {
+    if (slot.session) slot.session->set_ship_hook(ship_hook_);
   }
 }
 
@@ -206,12 +336,37 @@ std::optional<SessionManager::SessionInfo> SessionManager::session_info(
 }
 
 std::shared_ptr<LearningSession> SessionManager::find(SessionId id) const {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  if (id.index() >= sessions_.size()) return nullptr;
-  return sessions_[id.index()];
+  std::unique_lock<std::mutex> lock(sessions_mu_);
+  for (;;) {
+    if (id.index() >= slots_.size()) return nullptr;
+    Slot& slot = slots_[id.index()];
+    switch (slot.residency) {
+      case Residency::kNone:
+        return nullptr;
+      case Residency::kResident:
+        lru_.splice(lru_.begin(), lru_, slot.lru);
+        return slot.session;
+      case Residency::kSpilling:
+      case Residency::kRebuilding:
+        settled_.wait(lock);
+        continue;
+      case Residency::kCold:
+        return rebuild(lock, id.index());
+    }
+  }
 }
 
 bool SessionManager::close_session(SessionId id) {
+  {
+    // A session out of memory is closed in place, without rebuilding it.
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    if (id.index() < slots_.size() &&
+        (slots_[id.index()].residency == Residency::kCold ||
+         slots_[id.index()].residency == Residency::kSpilling)) {
+      slots_[id.index()].closed = true;
+      return true;
+    }
+  }
   auto session = find(id);
   if (!session) return false;
   session->mark_closed();
@@ -227,7 +382,12 @@ SubmitStatus SessionManager::submit(SessionId id,
   }
   ServeMetrics& metrics = ServeMetrics::get();
   metrics.submits.inc();
-  auto session = find(id);
+  std::shared_ptr<LearningSession> session;
+  try {
+    session = find(id);
+  } catch (const std::exception&) {
+    return SubmitStatus::Failed;  // evicted, and its state is gone (logged)
+  }
   if (!session || session->closed()) return SubmitStatus::UnknownSession;
   if (session->failed()) return SubmitStatus::Failed;
   if (seq != 0 && !session->claim_seq(seq)) {
@@ -273,8 +433,9 @@ std::uint64_t SessionManager::resume_high_water(SessionId id) {
 
 void SessionManager::checkpoint_all() {
   std::lock_guard<std::mutex> lock(sessions_mu_);
-  for (const auto& session : sessions_) {
-    if (!session) continue;
+  for (const Slot& slot : slots_) {
+    const std::shared_ptr<LearningSession>& session = slot.session;
+    if (!session) continue;  // cold sessions are already on disk
     try {
       session->checkpoint();
     } catch (const std::exception& e) {
@@ -339,18 +500,25 @@ std::optional<VspaceSnapshot> SessionManager::vspace(SessionId id) const {
 std::size_t SessionManager::num_sessions() const {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   std::size_t n = 0;
-  for (const auto& s : sessions_) {
-    if (s) ++n;
+  for (const Slot& slot : slots_) {
+    if (slot.residency != Residency::kNone) ++n;
   }
   return n;
+}
+
+std::size_t SessionManager::num_resident_sessions() const {
+  std::lock_guard<std::mutex> lock(sessions_mu_);
+  return lru_.size();
 }
 
 std::vector<std::uint32_t> SessionManager::session_ids() const {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   std::vector<std::uint32_t> ids;
-  ids.reserve(sessions_.size());
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    if (sessions_[i]) ids.push_back(static_cast<std::uint32_t>(i));
+  ids.reserve(slots_.size());
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].residency != Residency::kNone) {
+      ids.push_back(static_cast<std::uint32_t>(i));
+    }
   }
   return ids;
 }

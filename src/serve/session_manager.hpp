@@ -14,14 +14,18 @@
 // from the session's published snapshot and never stall ingestion.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/conformance.hpp"
+#include "durable/recovery.hpp"
 #include "durable/store.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_context.hpp"
@@ -29,6 +33,14 @@
 #include "serve/session.hpp"
 
 namespace bbmg {
+
+/// Sessions a durable manager keeps in memory.  Past this, the least
+/// recently used quiescent session (LearningSession::quiescent) is
+/// checkpointed and leaves memory; the next request that names it loads
+/// that snapshot back, byte-identical to a restart.  Daemon memory then
+/// scales with the sessions in use, not with every session ever uploaded.
+/// Sized by bench_resident (EXPERIMENTS.md E17).
+inline constexpr std::size_t kWarmSessionCap = 256;
 
 struct ManagerConfig {
   /// Worker threads (and ingest queues); sessions are sharded across them.
@@ -124,6 +136,13 @@ class SessionManager {
   /// nullopt for unknown/null ids.  Thread-safe.
   [[nodiscard]] std::optional<SessionInfo> session_info(SessionId id) const;
 
+  /// The session object (rebuilt if it was evicted); null for unknown ids.
+  /// Throws bbmg::Error when an evicted session cannot be rebuilt.
+  [[nodiscard]] std::shared_ptr<const LearningSession> session(
+      SessionId id) const {
+    return find(id);
+  }
+
   /// Refuse further submissions to the session; periods already queued are
   /// still learned.  Returns false for an unknown id.
   bool close_session(SessionId id);
@@ -155,7 +174,11 @@ class SessionManager {
   /// Live version-space snapshot of one session (VspaceRequest);
   /// nullopt for unknown/null ids.  Never stalls the worker.
   [[nodiscard]] std::optional<VspaceSnapshot> vspace(SessionId id) const;
+  /// Sessions known to the manager, evicted ones included.
   [[nodiscard]] std::size_t num_sessions() const;
+  /// Sessions currently held in memory (at most kWarmSessionCap unless
+  /// more are busy or unflushed).
+  [[nodiscard]] std::size_t num_resident_sessions() const;
   /// Ids of every live session, ascending (null gaps skipped).  The heal
   /// pass of a freshly promoted primary walks this to re-mirror sessions
   /// whose traffic stopped before the failover.  Thread-safe.
@@ -190,13 +213,56 @@ class SessionManager {
     obs::TraceContext ctx{};
   };
 
+  /// Where one id's session lives.
+  enum class Residency : std::uint8_t {
+    kNone,        // never opened, or lost in recovery
+    kResident,    // in memory (Slot::session)
+    kSpilling,    // being checkpointed on its way out of memory
+    kCold,        // on disk only; rebuilt on next use
+    kRebuilding,  // being loaded back from disk
+  };
+  struct Slot {
+    std::shared_ptr<LearningSession> session;  // set iff kResident
+    /// This id's node in lru_ (valid iff kResident).
+    std::list<std::uint32_t>::iterator lru;
+    Residency residency{Residency::kNone};
+    /// Closed while out of memory: the rebuilt session refuses submissions.
+    bool closed{false};
+  };
+  /// Sessions picked for eviction, checkpointed by spill().
+  using Victims = std::vector<std::shared_ptr<LearningSession>>;
+
+  /// The session at `id`, rebuilt from disk if it was evicted; null for
+  /// unknown ids.  Throws bbmg::Error when the rebuild fails.
   [[nodiscard]] std::shared_ptr<LearningSession> find(SessionId id) const;
-  /// Build + store one session at `id` (sessions_mu_ held by the caller).
-  std::shared_ptr<LearningSession> create_session_locked(
-      SessionId id, std::vector<std::string> task_names, SessionConfig config);
+  /// Rebuild cold slot `index`.  Disk reads and the checkpoints of the
+  /// sessions it displaces run with `lock` released, so requests for
+  /// other sessions proceed meanwhile.
+  std::shared_ptr<LearningSession> rebuild(std::unique_lock<std::mutex>& lock,
+                                           std::size_t index) const;
+  /// Build + store one session at `id` (sessions_mu_ held by the caller,
+  /// who spills the returned victims after unlocking).
+  [[nodiscard]] Victims create_session_locked(SessionId id,
+                                              TaskNames task_names,
+                                              SessionConfig config);
+  /// A session from recovered state (no lock needed).
+  std::shared_ptr<LearningSession> make_recovered(
+      durable::RecoveredSession rec) const;
+  /// Store `session` at `index` as most recently used and pick the
+  /// sessions to evict past the cap (sessions_mu_ held).
+  [[nodiscard]] Victims make_resident_locked(
+      std::size_t index, std::shared_ptr<LearningSession> session) const;
+  /// While more than kWarmSessionCap sessions are resident, take the least
+  /// recently used quiescent ones out of the table (sessions_mu_ held).
+  /// O(1) amortized: busy sessions met at the cold end move to the warm
+  /// end.
+  [[nodiscard]] Victims evict_locked() const;
+  /// Checkpoint each victim and mark it cold (sessions_mu_ NOT held).  A
+  /// victim whose checkpoint fails stays in memory.
+  void spill(Victims victims) const;
   void worker_loop(std::size_t worker_index);
-  /// Run startup recovery and rebuild sessions_ (ids keep their pre-crash
-  /// values; unrecovered ids stay as null gaps).
+  /// Run startup recovery and rebuild the slots (ids keep their pre-crash
+  /// values; unrecovered ids stay as gaps).
   void recover_sessions();
 
   ManagerConfig config_;
@@ -207,10 +273,17 @@ class SessionManager {
   std::atomic<bool> stopping_{false};
 
   mutable std::mutex sessions_mu_;
-  /// index == id; entries can be null after recovery (ids whose state was
-  /// quarantined) or below an explicitly-opened id — callers treat a null
-  /// as UnknownSession.
-  std::vector<std::shared_ptr<LearningSession>> sessions_;
+  /// index == id.  Mutable: rebuilding an evicted session inside a const
+  /// read is a cache fill.
+  mutable std::vector<Slot> slots_;
+  /// Resident ids, most recently used first.
+  mutable std::list<std::uint32_t> lru_;
+  /// Signalled when a spill or rebuild finishes (waiters re-check their
+  /// slot).
+  mutable std::condition_variable settled_;
+  /// One shared name list per distinct task universe: a session, its
+  /// sanitizer and its durable metadata all point at the interned list.
+  mutable NameInterner names_;
   /// Replication tap handed to every session (null = replication off).
   std::shared_ptr<const ShipHook> ship_hook_;
 

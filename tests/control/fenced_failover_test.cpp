@@ -233,7 +233,11 @@ TEST(ControlPlane, DoubleFailoverWithFencedRejoinStaysByteIdentical) {
   // the re-admitted follower holds every period too.
   EXPECT_EQ(client.flush(ref), kSecondLeg);
   // Pick up the epoch-3 map so the client knows A exists as a fallback
-  // source for later refreshes.
+  // source for later refreshes.  refresh_map() makes at most one attempt
+  // per map_refresh_backoff_ms, and leg 2 can finish inside that window
+  // of the client's own leg-1 refresh; wait it out first.
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(hands_off_client().map_refresh_backoff_ms));
   EXPECT_TRUE(client.refresh_map());
   EXPECT_EQ(client.map().epoch, 3u);
 
