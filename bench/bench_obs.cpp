@@ -16,11 +16,13 @@
 //       (enumerate/branch/lub_merge/post_process/history) must attribute
 //       >= 90% of the profiled period wall time — an unnamed-time gap
 //       means the profiler lost track of where ingest cycles go.
-//   (e) E16, perf-counter spans: price one PerfCounterGroup read (the
+//   (e) E16, hardware-counter reads: price one PerfCounterGroup read (the
 //       perf_event_open group syscall) and attribute the reads the learner
-//       performs per sampled period at the production stride.  Must stay
-//       below 2% of the (b) ingest wall time.  Unsupported hardware (CI
-//       containers, perf_event_paranoid) reports zero cost and passes.
+//       performs per sampled period — one per phase-boundary stamp, as
+//       counted by the profiler during (d) — at the production stride.
+//       Must stay below 2% of the (b) ingest wall time.  Unsupported
+//       hardware (CI containers, perf_event_paranoid) reports zero cost and
+//       passes.  (The JSON keeps its historical "perf_spans" key.)
 //   (f) E16, allocation attribution: price the thread-local note_alloc/
 //       note_free pair and attribute it to the heap churn the (b) ingest
 //       actually performed (the session's VspaceSnapshot alloc counters).
@@ -294,6 +296,7 @@ int main() {
   }
   const std::uint64_t profiled_ns_before = profiler.total_ns();
   const std::uint64_t units_before = profiler.units();
+  const std::uint64_t stamps_before = profiler.stamps();
 
   SessionManager phase_manager(config);
   const SessionId phase_id = phase_manager.open_session(trace.task_names());
@@ -308,6 +311,13 @@ int main() {
 
   const std::uint64_t profiled_ns = profiler.total_ns() - profiled_ns_before;
   const std::uint64_t profiled_units = profiler.units() - units_before;
+  // Stride 1: every period was a sampled unit, so this is the number of
+  // boundary stamps (counter-group reads, when supported) per sampled period.
+  const double stamps_per_unit =
+      profiled_units > 0 ? static_cast<double>(profiler.stamps() -
+                                               stamps_before) /
+                               static_cast<double>(profiled_units)
+                         : 0.0;
   std::uint64_t named_ns = 0;
   std::printf("\nlearner phase profile (%llu periods, stride 1):\n",
               static_cast<unsigned long long>(profiled_units));
@@ -334,9 +344,9 @@ int main() {
   std::printf("attributed to named phases: %.1f%% (floor 90%%)\n",
               attributed * 100.0);
 
-  // ---- (e) E16: perf-counter span overhead -------------------------------
-  // The learner reads its thread's PerfCounterGroup four times per sampled
-  // period (start / enumerated / branched / posted).  Price one group read
+  // ---- (e) E16: hardware-counter read overhead ---------------------------
+  // A sampled period reads its thread's PerfCounterGroup once per phase
+  // boundary stamp (stamps_per_unit, counted in (d)).  Price one group read
   // and attribute it at the production stride against the (b) ingest wall
   // time — the same measured-cost x op-count methodology as (b).
   obs::PerfCounterGroup& perf_group = obs::PerfCounterGroup::this_thread();
@@ -351,19 +361,19 @@ int main() {
   const std::uint64_t sampled_periods =
       obs::kEnabled ? total_periods / obs::kDefaultProfilerStride : 0;
   const double perf_overhead_ns =
-      static_cast<double>(sampled_periods) * 4.0 * perf_read_ns;
+      static_cast<double>(sampled_periods) * stamps_per_unit * perf_read_ns;
   const double perf_pct =
       ingest_ms > 0.0 ? perf_overhead_ns / (ingest_ms * 1e6) * 100.0 : 0.0;
   const bool perf_ok = perf_pct < kBudgetPct;
-  std::printf("\nperf-counter spans: %s, group read %.1f ns, %llu sampled "
-              "periods (stride %u)\n",
+  std::printf("\nhw-counter reads: %s, group read %.1f ns, %.0f reads per "
+              "sampled period, %llu sampled periods (stride %u)\n",
               perf_group.supported() ? "hardware supported"
                                      : perf_group.unsupported_reason().c_str(),
-              perf_read_ns,
+              perf_read_ns, stamps_per_unit,
               static_cast<unsigned long long>(sampled_periods),
               obs::kDefaultProfilerStride);
-  std::printf("perf-span share of ingest: %.3f%% (budget %.1f%%)\n", perf_pct,
-              kBudgetPct);
+  std::printf("hw-counter share of ingest: %.3f%% (budget %.1f%%)\n",
+              perf_pct, kBudgetPct);
 
   // ---- (f) E16: allocation-attribution overhead --------------------------
   // The shim adds one note_alloc per operator new and one note_free per
@@ -420,6 +430,7 @@ int main() {
       << "  \"perf_spans\": {\"supported\": "
       << (perf_group.supported() ? "true" : "false")
       << ", \"read_ns\": " << perf_read_ns
+      << ", \"reads_per_period\": " << stamps_per_unit
       << ", \"sampled_periods\": " << sampled_periods
       << ", \"overhead_pct\": " << perf_pct
       << ", \"budget_pct\": " << kBudgetPct

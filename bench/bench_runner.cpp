@@ -11,8 +11,9 @@
 //
 //   bench_runner [--quick] [--only a,b,c] [--out BENCH_all.json]
 //
-//   --quick  run only the quick tier (obs, serve) — the CI configuration;
-//            the full matrix adds the subprocess-heavy harnesses
+//   --quick  run only the quick tier (obs, serve, bound_runtime) — the CI
+//            configuration; the full matrix adds the subprocess-heavy
+//            harnesses
 //   --only   comma-separated subset of matrix names (overrides --quick)
 //   --out    output path (default BENCH_all.json in the CWD)
 //
@@ -51,6 +52,7 @@ struct MatrixEntry {
 constexpr MatrixEntry kMatrix[] = {
     {"obs", "BENCH_obs.json", true},
     {"serve", "BENCH_serve.json", true},
+    {"bound_runtime", "BENCH_bound_runtime.json", true},
     {"recovery", "BENCH_recovery.json", false},
     {"cluster", "BENCH_cluster.json", false},
     {"fleet", "BENCH_fleet.json", false},

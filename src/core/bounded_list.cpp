@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "obs/alloc_track.hpp"
-#include "obs/span.hpp"
 
 namespace bbmg {
 
@@ -136,22 +134,7 @@ std::uint32_t BoundedList::pop_least() {
 }
 
 void BoundedList::merge_two_least() {
-  if (merge_timer_ != nullptr) {
-    const obs::AllocCounters a0 = obs::thread_alloc_counters();
-    const std::uint64_t start = obs::now_ns();
-    merge_two_least_impl();
-    merge_timer_->ns += obs::now_ns() - start;
-    const obs::AllocCounters d =
-        obs::alloc_delta(a0, obs::thread_alloc_counters());
-    merge_timer_->alloc_bytes += d.bytes;
-    merge_timer_->allocs += d.count;
-    ++merge_timer_->calls;
-    return;
-  }
-  merge_two_least_impl();
-}
-
-void BoundedList::merge_two_least_impl() {
+  const obs::PhaseProfiler::Scope timed(merges_);
   BBMG_ASSERT(heap_.size() >= 2, "merge requires two hypotheses");
   const std::uint32_t ia = pop_least();
   const std::uint32_t ib = pop_least();

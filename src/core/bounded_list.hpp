@@ -25,6 +25,7 @@
 #include "core/history.hpp"
 #include "core/hypothesis.hpp"
 #include "core/learn_result.hpp"
+#include "obs/profiler.hpp"
 
 namespace bbmg {
 
@@ -39,16 +40,6 @@ struct KeyedHypothesis {
   /// Computes weight and key from scratch (O(t^2)).
   explicit KeyedHypothesis(Hypothesis hyp)
       : h(std::move(hyp)), weight(h.d.weight()), key(h.key()) {}
-};
-
-/// Accumulates lattice-merge time and heap churn inside a sampled period
-/// (the profiler's lub_merge phase); null when the period is not sampled,
-/// so the unsampled hot path never reads a clock.
-struct MergeTimer {
-  std::uint64_t ns{0};
-  std::uint64_t calls{0};
-  std::uint64_t alloc_bytes{0};
-  std::uint64_t allocs{0};
 };
 
 /// Open-addressed multiset of (key, slot) pairs with linear probing.  Keys
@@ -89,9 +80,11 @@ class KeySet {
 
 class BoundedList {
  public:
+  /// `merges` times every merge as a nested profiler phase; null (an
+  /// unsampled period) leaves the merge path free of clock reads.
   BoundedList(std::size_t bound, LearnStats& stats,
-              MergeTimer* merge_timer = nullptr)
-      : bound_(bound), stats_(stats), merge_timer_(merge_timer) {}
+              obs::PhaseProfiler::Nested* merges = nullptr)
+      : bound_(bound), stats_(stats), merges_(merges) {}
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
 
@@ -117,11 +110,10 @@ class BoundedList {
   void push(std::uint32_t slot);
   std::uint32_t pop_least();
   void merge_two_least();
-  void merge_two_least_impl();
 
   std::size_t bound_;
   LearnStats& stats_;
-  MergeTimer* merge_timer_{nullptr};
+  obs::PhaseProfiler::Nested* merges_{nullptr};
   std::vector<KeyedHypothesis> slots_;
   std::vector<std::uint32_t> free_;
   std::vector<HeapEntry> heap_;  // min-heap on (weight, seq)

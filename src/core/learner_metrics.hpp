@@ -27,20 +27,14 @@ enum class LearnerPhase : std::size_t {
 
 /// Process-wide sampling profiler over the online learner's period loop
 /// (`bbmg_learner_phase_ns_total{phase=...}` et al.).  Stride defaults to
-/// kDefaultProfilerStride; bench_obs sets 1 for exact attribution.
-/// Hardware counters (`bbmg_perf_learner_*_total{phase=...}`) and per-phase
-/// allocation counters are enabled up front so every scrape surface carries
-/// IPC, miss rates and heap churn per phase.
+/// kDefaultProfilerStride; bench_obs sets 1 for exact attribution.  Every
+/// scrape surface carries the hardware counters
+/// (`bbmg_perf_learner_*_total{phase=...}`: IPC and miss rates per phase)
+/// and the per-phase heap churn alongside the wall time.
 inline obs::PhaseProfiler& learner_profiler() {
   static obs::PhaseProfiler profiler(
-      "bbmg_learner",
+      "bbmg_learner", "bbmg_perf_learner",
       {"enumerate", "branch", "lub_merge", "post_process", "history"});
-  static const bool dimensions_enabled = [] {
-    profiler.enable_hw_counters("bbmg_perf_learner");
-    profiler.enable_alloc_counters();
-    return true;
-  }();
-  (void)dimensions_enabled;
   return profiler;
 }
 

@@ -8,8 +8,6 @@
 #include "core/learner_metrics.hpp"
 #include "core/post_process.hpp"
 #include "core/vspace_stats.hpp"
-#include "obs/alloc_track.hpp"
-#include "obs/perf/perf_counters.hpp"
 #include "obs/span.hpp"
 
 namespace bbmg {
@@ -22,6 +20,12 @@ OnlineLearner::OnlineLearner(std::size_t num_tasks, const OnlineConfig& config)
   stats_.peak_hypotheses = 1;
 }
 
+namespace {
+constexpr std::size_t phase(LearnerPhase p) {
+  return static_cast<std::size_t>(p);
+}
+}  // namespace
+
 void OnlineLearner::observe_period(const Period& period) {
   LearnerMetrics& metrics = LearnerMetrics::get();
   obs::Span span(&metrics.period_latency_us, "learner.period");
@@ -31,39 +35,21 @@ void OnlineLearner::observe_period(const Period& period) {
   const std::uint64_t merges0 = stats_.merges;
   const std::uint64_t unexplained0 = stats_.unexplained_messages;
 
-  // Phase attribution: 1-in-stride periods time each phase (ROADMAP's
-  // hot-path work starts from this measured breakdown); unsampled periods
-  // pay one relaxed fetch_add and zero clock reads.
-  obs::PhaseProfiler& profiler = learner_profiler();
-  const bool sampled = profiler.sample();
-  MergeTimer merge_timer;
-
-  // Sampled periods additionally read the thread's hardware-counter group
-  // (one read(2) per phase boundary; skipped when the PMU is unsupported)
-  // and the thread-local allocation totals (three plain loads).
-  obs::PerfCounterGroup* hw = nullptr;
-  if (sampled) {
-    obs::PerfCounterGroup& group = obs::PerfCounterGroup::this_thread();
-    if (group.supported()) hw = &group;
-  }
-  const obs::PerfSample hw_start = hw != nullptr ? hw->read() : obs::PerfSample{};
-  const obs::AllocCounters a_start =
-      sampled ? obs::thread_alloc_counters() : obs::AllocCounters{};
-  const std::uint64_t t_start = sampled ? obs::now_ns() : 0;
+  // Phase attribution: 1-in-stride periods take one stamp per phase
+  // boundary; unsampled periods pay one relaxed fetch_add and zero clock
+  // reads.  Lattice merges run nested inside the branch loop.
+  obs::PhaseProfiler::Unit unit(learner_profiler());
 
   const PeriodCandidates pc(period, num_tasks_);
-  const std::uint64_t t_enumerated = sampled ? obs::now_ns() : 0;
-  const obs::PerfSample hw_enumerated =
-      hw != nullptr ? hw->read() : obs::PerfSample{};
-  const obs::AllocCounters a_enumerated =
-      sampled ? obs::thread_alloc_counters() : obs::AllocCounters{};
+  unit.lap(phase(LearnerPhase::Enumerate));
 
   // The message loop works on keyed members (weight + Zobrist key), so a
   // child's key is O(1) from its parent; keys live only for this period.
   std::vector<KeyedHypothesis> front;
   front.reserve(frontier_.size());
   for (Hypothesis& h : frontier_) front.emplace_back(std::move(h));
-  BoundedList list(config_.bound, stats_, sampled ? &merge_timer : nullptr);
+  BoundedList list(config_.bound, stats_,
+                   unit.nest(phase(LearnerPhase::LubMerge)));
   for (std::size_t msg = 0; msg < pc.num_messages(); ++msg) {
     ++stats_.messages_processed;
     const auto& cands = pc.candidates(msg);
@@ -96,99 +82,14 @@ void OnlineLearner::observe_period(const Period& period) {
   }
   frontier_.clear();
   for (KeyedHypothesis& h : front) frontier_.push_back(std::move(h.h));
-  const std::uint64_t t_branched = sampled ? obs::now_ns() : 0;
-  const obs::PerfSample hw_branched =
-      hw != nullptr ? hw->read() : obs::PerfSample{};
-  const obs::AllocCounters a_branched =
-      sampled ? obs::thread_alloc_counters() : obs::AllocCounters{};
+  unit.lap(phase(LearnerPhase::Branch), pc.num_messages());
 
   post_process_period(frontier_, pc);
-  const std::uint64_t t_posted = sampled ? obs::now_ns() : 0;
-  const obs::PerfSample hw_posted =
-      hw != nullptr ? hw->read() : obs::PerfSample{};
-  const obs::AllocCounters a_posted =
-      sampled ? obs::thread_alloc_counters() : obs::AllocCounters{};
+  unit.lap(phase(LearnerPhase::PostProcess));
   ++stats_.periods_processed;
   stats_.frontier_after_period.push_back(frontier_.size());
   history_.record_period(pc);
-
-  if (sampled) {
-    const std::uint64_t t_end = obs::now_ns();
-    using P = LearnerPhase;
-    profiler.record(static_cast<std::size_t>(P::Enumerate),
-                    t_enumerated - t_start);
-    // The message loop minus the time clocked inside lattice merges is the
-    // branching phase (child hypothesis creation + duplicate checks).
-    const std::uint64_t loop_ns = t_branched - t_enumerated;
-    const std::uint64_t merge_ns =
-        merge_timer.ns < loop_ns ? merge_timer.ns : loop_ns;
-    profiler.record(static_cast<std::size_t>(P::Branch), loop_ns - merge_ns,
-                    pc.num_messages());
-    profiler.record(static_cast<std::size_t>(P::LubMerge), merge_timer.ns,
-                    merge_timer.calls);
-    profiler.record(static_cast<std::size_t>(P::PostProcess),
-                    t_posted - t_branched);
-    profiler.record(static_cast<std::size_t>(P::History), t_end - t_posted);
-    profiler.record_unit(t_end - t_start);
-
-    if (hw != nullptr) {
-      const obs::PerfSample hw_end = hw->read();
-      profiler.record_hw(static_cast<std::size_t>(P::Enumerate),
-                         obs::perf_delta(hw_start, hw_enumerated));
-      // Merges run nested inside the branching loop; splitting their
-      // counters exactly would cost a syscall per merge, so the loop's
-      // delta is prorated by the wall-time split (documented in DESIGN.md
-      // — the estimate assumes comparable IPC across the two phases).
-      const obs::PerfDelta loop_hw = obs::perf_delta(hw_enumerated, hw_branched);
-      obs::PerfDelta merge_hw;
-      obs::PerfDelta branch_hw = loop_hw;
-      if (loop_ns > 0 && merge_ns > 0) {
-        const double f = static_cast<double>(merge_ns) /
-                         static_cast<double>(loop_ns);
-        auto share = [f](std::uint64_t v) {
-          return static_cast<std::uint64_t>(static_cast<double>(v) * f);
-        };
-        merge_hw.cycles = share(loop_hw.cycles);
-        merge_hw.instructions = share(loop_hw.instructions);
-        merge_hw.cache_misses = share(loop_hw.cache_misses);
-        merge_hw.branch_misses = share(loop_hw.branch_misses);
-        branch_hw.cycles = loop_hw.cycles - merge_hw.cycles;
-        branch_hw.instructions = loop_hw.instructions - merge_hw.instructions;
-        branch_hw.cache_misses = loop_hw.cache_misses - merge_hw.cache_misses;
-        branch_hw.branch_misses = loop_hw.branch_misses - merge_hw.branch_misses;
-      }
-      profiler.record_hw(static_cast<std::size_t>(P::Branch), branch_hw);
-      profiler.record_hw(static_cast<std::size_t>(P::LubMerge), merge_hw);
-      profiler.record_hw(static_cast<std::size_t>(P::PostProcess),
-                         obs::perf_delta(hw_branched, hw_posted));
-      profiler.record_hw(static_cast<std::size_t>(P::History),
-                         obs::perf_delta(hw_posted, hw_end));
-    }
-
-    // Allocation attribution is exact: boundary deltas per phase, with the
-    // merge share measured inside MergeTimer rather than prorated.
-    const obs::AllocCounters a_end = obs::thread_alloc_counters();
-    const obs::AllocCounters d_enum = obs::alloc_delta(a_start, a_enumerated);
-    profiler.record_alloc(static_cast<std::size_t>(P::Enumerate), d_enum.bytes,
-                          d_enum.count);
-    const obs::AllocCounters d_loop = obs::alloc_delta(a_enumerated, a_branched);
-    const std::uint64_t merge_bytes = merge_timer.alloc_bytes < d_loop.bytes
-                                          ? merge_timer.alloc_bytes
-                                          : d_loop.bytes;
-    const std::uint64_t merge_allocs =
-        merge_timer.allocs < d_loop.count ? merge_timer.allocs : d_loop.count;
-    profiler.record_alloc(static_cast<std::size_t>(P::Branch),
-                          d_loop.bytes - merge_bytes,
-                          d_loop.count - merge_allocs);
-    profiler.record_alloc(static_cast<std::size_t>(P::LubMerge), merge_bytes,
-                          merge_allocs);
-    const obs::AllocCounters d_post = obs::alloc_delta(a_branched, a_posted);
-    profiler.record_alloc(static_cast<std::size_t>(P::PostProcess),
-                          d_post.bytes, d_post.count);
-    const obs::AllocCounters d_hist = obs::alloc_delta(a_posted, a_end);
-    profiler.record_alloc(static_cast<std::size_t>(P::History), d_hist.bytes,
-                          d_hist.count);
-  }
+  unit.lap(phase(LearnerPhase::History));
 
   if (vspace_stats_ != nullptr) {
     vspace_stats_->on_period(frontier_.size(), approx_frontier_bytes());

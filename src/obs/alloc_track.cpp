@@ -40,10 +40,10 @@ void note_free() { ++tl_alloc.frees; }
 #if BBMG_ALLOC_TRACK
 
 // Replaceable global allocation functions.  This TU is pulled into every
-// binary that reads thread_alloc_counters() (the learner does), which is
-// what makes a static-library replacement reliable: the reference forces
-// the object file in, and its strong operator new definitions then replace
-// the libstdc++ weak ones for the whole program.
+// binary that reads thread_alloc_counters() (the learner's profiler does),
+// which is what makes a static-library replacement reliable: the reference
+// forces the object file in, and its strong operator new definitions then
+// replace the libstdc++ weak ones for the whole program.
 namespace {
 
 void* tracked_alloc(std::size_t n) {

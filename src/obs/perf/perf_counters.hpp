@@ -5,15 +5,14 @@
 // cycles, instructions, cache-misses and branch-misses in user mode.  The
 // group leader carries PERF_FORMAT_GROUP, so read() is a single read(2)
 // returning every counter atomically — the only per-sample cost, paid at
-// phase boundaries of sampled learner periods and at traced-span edges,
-// never per event.
+// phase boundaries of sampled learner periods, never per event.
 //
 // Fallback is a first-class state, not an error: CI containers, VMs without
 // a PMU, and kernels with perf_event_paranoid >= 2 all refuse the syscall
 // (EACCES/EPERM/ENOENT/ENOSYS).  The group then reports supported() ==
-// false, read() returns all-zero samples, and every consumer (PhaseProfiler
-// hw counters, PerfSpan, Chrome-trace args) degrades to wall-clock-only —
-// the exact behaviour the perf-fallback tests pin down.  Individual sibling
+// false, read() returns all-zero samples, and its consumer (the
+// PhaseProfiler's hw dimension) degrades to wall-clock-only — the exact
+// behaviour the perf-fallback tests pin down.  Individual sibling
 // events may also be missing (e.g. no cache-miss event in a VM): the group
 // stays supported and just reports zero for the absent counter.
 //

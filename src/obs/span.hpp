@@ -41,13 +41,6 @@ struct SpanRecord {
   std::uint64_t span_id{0};
   std::uint64_t parent_id{0};
   std::uint8_t flow{0};
-  /// Hardware-counter deltas over the span (obs/perf/perf_span.hpp); all
-  /// zero for plain spans and when the PMU is unsupported.  Rendered as
-  /// Chrome-trace args and carried by the TraceDump wire format.
-  std::uint64_t cycles{0};
-  std::uint64_t instructions{0};
-  std::uint64_t cache_misses{0};
-  std::uint64_t branch_misses{0};
 };
 
 /// Default capacity of a SpanRing (overridable per ring, and for the

@@ -43,34 +43,14 @@ void append_span(std::ostringstream& os, const ExportSpan& s, bool& first) {
   append_json_escaped(os, s.name);
   os << "\", \"ph\": \"X\", \"pid\": " << s.pid << ", \"tid\": " << s.tid
      << ", \"ts\": " << ts_us << ", \"dur\": " << dur_us;
-  const bool has_ids = s.trace_id != 0;
-  const bool has_hw = (s.cycles | s.instructions) != 0;
-  if (has_ids || has_hw) {
-    os << ", \"args\": {";
-    if (has_ids) {
-      os << "\"trace\": \"";
-      append_hex_id(os, s.trace_id);
-      os << "\", \"span\": \"";
-      append_hex_id(os, s.span_id);
-      os << "\", \"parent\": \"";
-      append_hex_id(os, s.parent_id);
-      os << "\"";
-    }
-    if (has_hw) {
-      if (has_ids) os << ", ";
-      os << "\"cycles\": " << s.cycles
-         << ", \"instructions\": " << s.instructions;
-      if (s.cycles != 0) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.3f",
-                      static_cast<double>(s.instructions) /
-                          static_cast<double>(s.cycles));
-        os << ", \"ipc\": " << buf;
-      }
-      os << ", \"cache_misses\": " << s.cache_misses
-         << ", \"branch_misses\": " << s.branch_misses;
-    }
-    os << "}";
+  if (s.trace_id != 0) {
+    os << ", \"args\": {\"trace\": \"";
+    append_hex_id(os, s.trace_id);
+    os << "\", \"span\": \"";
+    append_hex_id(os, s.span_id);
+    os << "\", \"parent\": \"";
+    append_hex_id(os, s.parent_id);
+    os << "\"}";
   }
   os << "}";
   if (s.flow == static_cast<std::uint8_t>(FlowDir::None) || s.trace_id == 0) {
@@ -107,10 +87,6 @@ std::vector<ExportSpan> to_export_spans(const std::vector<SpanRecord>& spans,
     e.span_id = s.span_id;
     e.parent_id = s.parent_id;
     e.flow = s.flow;
-    e.cycles = s.cycles;
-    e.instructions = s.instructions;
-    e.cache_misses = s.cache_misses;
-    e.branch_misses = s.branch_misses;
     out.push_back(std::move(e));
   }
   return out;

@@ -33,12 +33,6 @@ struct ExportSpan {
   std::uint64_t span_id{0};
   std::uint64_t parent_id{0};
   std::uint8_t flow{0};  // FlowDir
-  /// Hardware-counter deltas (zero when uncounted); rendered as event args
-  /// (cycles/instructions/ipc/cache_misses/branch_misses).
-  std::uint64_t cycles{0};
-  std::uint64_t instructions{0};
-  std::uint64_t cache_misses{0};
-  std::uint64_t branch_misses{0};
 };
 
 /// Lift ring records into export form under one process id, optionally

@@ -101,10 +101,6 @@ std::vector<obs::ExportSpan> wire_to_export(const std::vector<WireSpan>& spans,
     e.span_id = s.span_id;
     e.parent_id = s.parent_id;
     e.flow = s.flow;
-    e.cycles = s.cycles;
-    e.instructions = s.instructions;
-    e.cache_misses = s.cache_misses;
-    e.branch_misses = s.branch_misses;
     out.push_back(std::move(e));
   }
   return out;

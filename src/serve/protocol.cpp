@@ -358,10 +358,6 @@ Frame TraceDumpResponseMsg::to_frame() const {
     append_u64(f.payload, s.span_id);
     append_u64(f.payload, s.parent_id);
     append_u8(f.payload, s.flow);
-    append_u64(f.payload, s.cycles);
-    append_u64(f.payload, s.instructions);
-    append_u64(f.payload, s.cache_misses);
-    append_u64(f.payload, s.branch_misses);
   }
   // Flight text rides as a chunk list so it reuses the length-capped
   // string codec (the dump can far exceed one string's 4 KiB cap).
@@ -384,11 +380,7 @@ WireSpan WireSpan::from(const obs::SpanRecord& r) {
           r.trace_id,
           r.span_id,
           r.parent_id,
-          r.flow,
-          r.cycles,
-          r.instructions,
-          r.cache_misses,
-          r.branch_misses};
+          r.flow};
 }
 
 TraceDumpResponseMsg TraceDumpResponseMsg::decode(const Frame& frame) {
@@ -412,10 +404,6 @@ TraceDumpResponseMsg TraceDumpResponseMsg::decode(const Frame& frame) {
     s.parent_id = r.read_u64();
     s.flow = r.read_u8();
     if (s.flow > 2) raise("protocol: invalid flow direction in trace dump");
-    s.cycles = r.read_u64();
-    s.instructions = r.read_u64();
-    s.cache_misses = r.read_u64();
-    s.branch_misses = r.read_u64();
     m.spans.push_back(std::move(s));
   }
   const std::uint32_t nchunks = r.read_u32();

@@ -39,10 +39,9 @@
 //   TraceContext     (envelope, no reply: attaches a {trace id, parent
 //                     span id} pair to the *next* request frame, so the
 //                     server continues the client's trace as child spans)
-//   TraceDumpRequest -> TraceDumpResponse  (the server's span ring, each
-//                     span with its hardware counters, and optionally its
-//                     flight-recorder dump, for merged client+server
-//                     Chrome traces)
+//   TraceDumpRequest -> TraceDumpResponse  (the server's span ring, and
+//                     optionally its flight-recorder dump, for merged
+//                     client+server Chrome traces)
 //
 // Cluster serving (src/cluster):
 //
@@ -107,7 +106,7 @@ namespace bbmg {
 inline constexpr std::uint32_t kServeMagic = 0x474d4242u;  // "BBMG"
 /// The one protocol version spoken; a Hello or HelloAck carrying any other
 /// version is refused.  Bump it whenever any frame layout changes.
-inline constexpr std::uint16_t kServeProtocolVersion = 8;
+inline constexpr std::uint16_t kServeProtocolVersion = 9;
 /// Frames larger than this are rejected before allocation (garbage guard).
 /// This is the hard upper bound; FrameDecoder::set_max_payload can lower
 /// it per decoder (e.g. a memory-constrained ingest front-end).
@@ -362,12 +361,6 @@ struct WireSpan {
   std::uint64_t span_id{0};
   std::uint64_t parent_id{0};
   std::uint8_t flow{0};
-  /// Hardware counters sampled over the span (zero when the span was
-  /// recorded without a PerfCounterGroup).
-  std::uint64_t cycles{0};
-  std::uint64_t instructions{0};
-  std::uint64_t cache_misses{0};
-  std::uint64_t branch_misses{0};
   [[nodiscard]] static WireSpan from(const obs::SpanRecord& r);
 };
 

@@ -1,9 +1,9 @@
 // PerfCounterGroup fallback paths: a denied or absent PMU must degrade to
 // supported() == false with zero-reading samples — never an error — because
 // CI containers and VMs are exactly where the test suite runs.  Also pins
-// the delta arithmetic, PerfSpan's wall-clock-only fallback, and (for the
-// TSan build) concurrent span recording + counter reads against a draining
-// ring.
+// the delta arithmetic and (for the TSan build) profiler units timing
+// phases — counter-group reads included — on several threads while another
+// thread scrapes the registry.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,8 +17,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/perf/perf_counters.hpp"
-#include "obs/perf/perf_span.hpp"
-#include "obs/span.hpp"
+#include "obs/profiler.hpp"
 
 namespace bbmg::obs {
 namespace {
@@ -119,71 +118,58 @@ TEST(PerfDeltaMath, SubtractsAndSaturates) {
   EXPECT_DOUBLE_EQ(zero.ipc(), 0.0);
 }
 
-TEST(PerfSpanFallback, UnsupportedGroupStillRecordsWallTime) {
-  // A PerfSpan over an unsupported group must behave exactly like a plain
-  // Span: wall-clock duration lands in the ring, hw fields stay zero.
-  PerfCounterGroup denied([](PerfEvent, int) { return -EACCES; });
-  SpanRing ring(64);
-  ring.set_enabled(true);
-  {
-    PerfSpan span(nullptr, "test.stage", &ring, &denied);
-    // Burn a little time so the duration is visibly nonzero.
-    volatile std::uint64_t sink = 0;
-    for (int i = 0; i < 10000; ++i) sink = sink + static_cast<std::uint64_t>(i);
-    (void)sink;
-  }
-#if BBMG_OBS_ENABLED
-  const std::vector<SpanRecord> records = ring.drain();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_STREQ(records[0].name, "test.stage");
-  EXPECT_GT(records[0].duration_ns, 0u);
-  EXPECT_EQ(records[0].cycles, 0u);
-  EXPECT_EQ(records[0].instructions, 0u);
-#endif
-}
-
-TEST(PerfSpanFallback, HwDeltaZeroWhenRingDisabled) {
-  // Ring disabled => no counter reads at all (the cost-discipline rule).
-  SpanRing ring(8);
-  ring.set_enabled(false);
-  PerfSpan span(nullptr, "test.disabled", &ring);
-  span.finish();
-  EXPECT_FALSE(span.hw().any());
-}
-
 TEST(PerfConcurrency, SpansAndCounterReadsRaceCleanly) {
-  // The TSan target: writer threads record PerfSpans and read their
-  // thread-local counter groups while a reader drains the shared ring.
-  SpanRing ring(256);
-  ring.set_enabled(true);
+  // The TSan target: writer threads time profiler units on one shared
+  // profiler — each lap reads the thread's counter group and allocation
+  // totals, each nested scope its own clock pair — while a reader scrapes
+  // the registry those units write into.
+  PhaseProfiler profiler("test_perf_race", "test_perf_race_hw",
+                         {"outer", "nested", "tail"});
+  profiler.set_stride(1);
+  constexpr int kThreads = 3;
+  constexpr int kUnits = 400;
   std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> produced{0};
 
   std::vector<std::thread> writers;
-  for (int t = 0; t < 3; ++t) {
+  for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([&] {
-      for (int i = 0; i < 400; ++i) {
-        PerfSpan span(nullptr, "race.unit", &ring);
-        const PerfSample s = PerfCounterGroup::this_thread().read();
-        (void)s;
-        span.finish();
-        produced.fetch_add(1, std::memory_order_relaxed);
+      for (int i = 0; i < kUnits; ++i) {
+        PhaseProfiler::Unit unit(profiler);
+        PhaseProfiler::Nested* nested = unit.nest(1);
+        {
+          const PhaseProfiler::Scope scope(nested);
+          std::vector<int> churn(16, i);
+          (void)churn;
+        }
+        unit.lap(0);
+        unit.lap(2);
       }
     });
   }
   std::thread reader([&] {
-    std::size_t seen = 0;
+    std::uint64_t seen = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      seen += ring.drain().size();
+      const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
+      seen += snap.counter_value("test_perf_race_profiled_units_total");
       std::this_thread::yield();
     }
-    seen += ring.drain().size();
     (void)seen;
   });
   for (auto& w : writers) w.join();
   stop.store(true, std::memory_order_release);
   reader.join();
-  EXPECT_EQ(produced.load(), 1200u);
+
+  if (!kEnabled) {
+    EXPECT_EQ(profiler.units(), 0u);
+    return;
+  }
+  constexpr std::uint64_t kTotal = kThreads * kUnits;
+  EXPECT_EQ(profiler.units(), kTotal);
+  EXPECT_EQ(profiler.phase_calls(0), kTotal);
+  EXPECT_EQ(profiler.phase_calls(1), kTotal);
+  EXPECT_EQ(profiler.phase_calls(2), kTotal);
+  EXPECT_EQ(profiler.stamps(), 3 * kTotal);
+  EXPECT_DOUBLE_EQ(profiler.attributed_fraction(), 1.0);
 }
 
 }  // namespace

@@ -16,6 +16,13 @@
 namespace bbmg::obs {
 namespace {
 
+/// A phase cost with only the wall-time dimension set.
+PhaseCost wall(std::uint64_t ns) {
+  PhaseCost cost;
+  cost.ns = ns;
+  return cost;
+}
+
 TEST(ProfilerStride, CountsAreExactAtStrides1_16_256) {
   if (!kEnabled) GTEST_SKIP() << "BBMG_OBS=OFF: sample() never fires";
 
@@ -23,8 +30,8 @@ TEST(ProfilerStride, CountsAreExactAtStrides1_16_256) {
   constexpr std::uint64_t kUnits = 1024;  // divisible by every stride below
   for (const std::uint32_t stride : {1u, 16u, 256u}) {
     // Prefixes are registry-global, so each profiler needs its own.
-    PhaseProfiler profiler("test_stride_" + std::to_string(stride),
-                           {"alpha", "beta"});
+    const std::string prefix = "test_stride_" + std::to_string(stride);
+    PhaseProfiler profiler(prefix, prefix + "_hw", {"alpha", "beta"});
     profiler.set_stride(stride);
     ASSERT_EQ(profiler.stride(), stride);
 
@@ -32,8 +39,8 @@ TEST(ProfilerStride, CountsAreExactAtStrides1_16_256) {
     for (std::uint64_t i = 0; i < kUnits; ++i) {
       if (!profiler.sample()) continue;
       ++sampled;
-      profiler.record(0, kNsPerUnit);
-      profiler.record(1, 3 * kNsPerUnit, /*calls=*/2);
+      profiler.record(0, wall(kNsPerUnit));
+      profiler.record(1, wall(3 * kNsPerUnit), /*calls=*/2);
       profiler.record_unit(4 * kNsPerUnit);
     }
     EXPECT_EQ(sampled, kUnits / stride) << "stride " << stride;
@@ -52,11 +59,12 @@ TEST(ProfilerStride, CountsAreExactAtStrides1_16_256) {
 TEST(ProfilerStride, RegisteredCountersCarryTheScaledTotals) {
   if (!kEnabled) GTEST_SKIP() << "BBMG_OBS=OFF";
 
-  PhaseProfiler profiler("test_stride_metrics", {"only"});
+  PhaseProfiler profiler("test_stride_metrics", "test_stride_metrics_hw",
+                         {"only"});
   profiler.set_stride(8);
   for (int i = 0; i < 64; ++i) {
     if (profiler.sample()) {
-      profiler.record(0, 100);
+      profiler.record(0, wall(100));
       profiler.record_unit(100);
     }
   }
@@ -74,7 +82,7 @@ TEST(ProfilerStride, RegisteredCountersCarryTheScaledTotals) {
 TEST(ProfilerStride, StrideZeroDisablesSampling) {
   if (!kEnabled) GTEST_SKIP() << "BBMG_OBS=OFF";
 
-  PhaseProfiler profiler("test_stride_zero", {"p"});
+  PhaseProfiler profiler("test_stride_zero", "test_stride_zero_hw", {"p"});
   profiler.set_stride(0);
   for (int i = 0; i < 100; ++i) EXPECT_FALSE(profiler.sample());
   EXPECT_EQ(profiler.units(), 0u);
@@ -83,27 +91,25 @@ TEST(ProfilerStride, StrideZeroDisablesSampling) {
 TEST(ProfilerStride, HwAndAllocDimensionsScaleIdentically) {
   if (!kEnabled) GTEST_SKIP() << "BBMG_OBS=OFF";
 
-  PhaseProfiler profiler("test_stride_dims", {"p"});
+  PhaseProfiler profiler("test_stride_dims", "test_stride_dims_hw", {"p"});
   profiler.set_stride(16);
-  profiler.enable_hw_counters("test_stride_dims_hw");
-  profiler.enable_alloc_counters();
-  ASSERT_TRUE(profiler.hw_enabled());
-  ASSERT_TRUE(profiler.alloc_enabled());
 
-  PerfDelta d;
-  d.cycles = 10;
-  d.instructions = 30;
+  PhaseCost cost;
+  cost.hw.cycles = 10;
+  cost.hw.instructions = 30;
+  cost.alloc_bytes = 128;
+  cost.allocs = 4;
   for (int i = 0; i < 32; ++i) {
-    if (profiler.sample()) {
-      profiler.record_hw(0, d);
-      profiler.record_alloc(0, /*bytes=*/128, /*count=*/4);
-    }
+    if (profiler.sample()) profiler.record(0, cost);
   }
   // 2 sampled units x scale 16.
-  EXPECT_EQ(profiler.phase_cycles(0), 320u);
-  EXPECT_EQ(profiler.phase_instructions(0), 960u);
+  EXPECT_EQ(profiler.phase_hw(0).cycles, 320u);
+  EXPECT_EQ(profiler.phase_hw(0).instructions, 960u);
   EXPECT_EQ(profiler.phase_alloc_bytes(0), 4096u);
   EXPECT_EQ(profiler.phase_allocs(0), 128u);
+  const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
+  EXPECT_EQ(snap.counter_value("test_stride_dims_hw_cycles_total{phase=\"p\"}"),
+            320u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "core/vspace_stats.hpp"
 #include "obs/alloc_track.hpp"
+#include "obs/trace_context.hpp"
 #include "gen/gm_case_study.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -137,52 +138,54 @@ WireSpan sample_span() {
   s.duration_ns = 900;
   s.trace_id = 0xabc;
   s.span_id = 7;
-  s.cycles = 11111;
-  s.instructions = 22222;
-  s.cache_misses = 33;
-  s.branch_misses = 44;
   return s;
 }
 
 TEST(TraceDumpWire, HwTrailerRoundTrip) {
-  // The four hardware counters ride inline in every span record.
+  // Each span record ends with its own trailer (the flow byte; the v8
+  // layout added four hardware counters after it).  Two records in one
+  // response must decode back with their own fields, not a neighbour's.
   TraceDumpResponseMsg msg;
   msg.server_now_ns = 12345;
   msg.spans = {sample_span(), sample_span()};
+  msg.spans[0].flow = static_cast<std::uint8_t>(obs::FlowDir::Out);
   msg.spans[1].name = "serve.query";
-  msg.spans[1].cycles = 5;
+  msg.spans[1].duration_ns = 5;
 
   const TraceDumpResponseMsg back = TraceDumpResponseMsg::decode(msg.to_frame());
+  EXPECT_EQ(back.server_now_ns, 12345u);
   ASSERT_EQ(back.spans.size(), 2u);
-  EXPECT_EQ(back.spans[0].cycles, 11111u);
-  EXPECT_EQ(back.spans[0].instructions, 22222u);
-  EXPECT_EQ(back.spans[0].cache_misses, 33u);
-  EXPECT_EQ(back.spans[0].branch_misses, 44u);
-  EXPECT_EQ(back.spans[1].cycles, 5u);
+  EXPECT_EQ(back.spans[0].name, "learner.period");
+  EXPECT_EQ(back.spans[0].duration_ns, 900u);
+  EXPECT_EQ(back.spans[0].trace_id, 0xabcu);
+  EXPECT_EQ(back.spans[0].span_id, 7u);
+  EXPECT_EQ(back.spans[0].flow, static_cast<std::uint8_t>(obs::FlowDir::Out));
   EXPECT_EQ(back.spans[1].name, "serve.query");
+  EXPECT_EQ(back.spans[1].duration_ns, 5u);
+  EXPECT_EQ(back.spans[1].flow, 0u);
 }
 
-TEST(TraceDumpWire, OldLayoutWithoutHwCountersIsRejected) {
-  // A span record is name, tid, five u64 timing/id fields, flow, then the
-  // four u64 counters.  A record without the counters is a truncated
-  // frame; stray bytes after the flight chunks are trailing garbage.
+TEST(TraceDumpWire, V8SpanLayoutWithHwCountersIsRejected) {
+  // A span record is name, tid, five u64 timing/id fields, then flow.  The
+  // v8 layout carried four more u64 hardware counters per span; a record
+  // with those 32 extra bytes leaves trailing garbage, and stray bytes
+  // after the flight chunks are trailing garbage too.
   TraceDumpResponseMsg one;
   one.spans = {sample_span()};
   TraceDumpResponseMsg two = one;
   two.spans.push_back(sample_span());
   const Frame f = one.to_frame();
   EXPECT_EQ(two.to_frame().payload.size() - f.payload.size(),
-            2 + one.spans[0].name.size() + 4 + 5 * 8 + 1 + 4 * 8);
+            2 + one.spans[0].name.size() + 4 + 5 * 8 + 1);
 
-  // No flight text: the payload ends with the span's counters and a zero
+  // No flight text: the payload ends with the span's flow byte and a zero
   // chunk count.
-  Frame old_layout = f;
-  const std::size_t counters_at = f.payload.size() - 4 - 4 * 8;
-  old_layout.payload.erase(
-      old_layout.payload.begin() + static_cast<std::ptrdiff_t>(counters_at),
-      old_layout.payload.begin() +
-          static_cast<std::ptrdiff_t>(counters_at + 4 * 8));
-  EXPECT_THROW((void)TraceDumpResponseMsg::decode(old_layout), Error);
+  Frame v8_layout = f;
+  const std::size_t counters_at = f.payload.size() - 4;
+  v8_layout.payload.insert(
+      v8_layout.payload.begin() + static_cast<std::ptrdiff_t>(counters_at),
+      4 * 8, std::uint8_t{0});
+  EXPECT_THROW((void)TraceDumpResponseMsg::decode(v8_layout), Error);
 
   Frame extra = f;
   extra.payload.push_back(1);
