@@ -64,14 +64,12 @@ struct SnapshotCell {
 SnapshotCell measure_snapshot(const Trace& trace, std::size_t periods) {
   SessionMeta meta = bench_meta(trace);
   RobustOnlineLearner learner(meta.task_names, meta.config);
-  StreamingTraceStats acc;
   std::size_t events = 0;
   std::size_t applied = 0;
   for (const Period& p : trace.periods()) {
     if (applied++ >= periods) break;
     const std::vector<Event> evs = p.to_events();
     events += evs.size();
-    acc.observe_events(evs);
     learner.observe_raw_period(evs);
   }
 
@@ -80,7 +78,7 @@ SnapshotCell measure_snapshot(const Trace& trace, std::size_t periods) {
   cell.events = events;
   Stopwatch enc;
   const std::vector<std::uint8_t> bytes =
-      encode_snapshot(meta, periods, acc.summary(), learner);
+      encode_snapshot(meta, periods, learner);
   cell.encode_ms = enc.elapsed_ms();
   cell.snapshot_bytes = bytes.size();
 
@@ -128,9 +126,8 @@ OverheadCell measure_overhead(const Trace& trace, std::size_t rounds,
   config.fsync_every = fsync_every;
   config.snapshot_every = 0;  // isolate the WAL cost from compaction
   RobustOnlineLearner learner(meta.task_names, meta.config);
-  StreamingTraceStats acc;
   std::unique_ptr<SessionStore> store =
-      SessionStore::create(config, meta, learner, acc.summary());
+      SessionStore::create(config, meta, learner);
   double wal_ms = 0.0;
   Stopwatch w;
   std::uint64_t seq = 0;
@@ -176,15 +173,13 @@ RecoveryCell measure_recovery(std::size_t tail_periods) {
 
   // Uninterrupted run: seq-0 snapshot, then `tail_periods` WAL appends.
   RobustOnlineLearner learner(meta.task_names, meta.config);
-  StreamingTraceStats acc;
   std::unique_ptr<SessionStore> store =
-      SessionStore::create(config, meta, learner, acc.summary());
+      SessionStore::create(config, meta, learner);
   std::uint64_t seq = 0;
   for (const Period& p : trace.periods()) {
     if (seq >= tail_periods) break;
     const std::vector<Event> evs = p.to_events();
     store->append_period(++seq, evs);
-    acc.observe_events(evs);
     learner.observe_raw_period(evs);
   }
   (void)store->flush();

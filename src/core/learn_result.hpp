@@ -21,28 +21,15 @@ struct LearnStats {
   /// Messages for which a hypothesis had no unused candidate pair and was
   /// kept unchanged instead of branching (heuristic fallback; see DESIGN.md).
   std::uint64_t unexplained_messages{0};
-  /// Hypothesis-set size after post-processing of each period.
+  /// Batch learners only: hypothesis-set size after post-processing of
+  /// each period.  The streaming learner keeps no per-period history, so
+  /// its state stays O(frontier) however long the trace runs.
   std::vector<std::size_t> frontier_after_period;
   /// Streaming only: periods handed to observe_quarantined_period (corrupt
   /// input skipped by the robustness layer; not counted in
   /// periods_processed).
   std::uint64_t quarantined_periods{0};
   double wall_seconds{0.0};
-
-  /// Every field except the per-period frontier_after_period trace: an
-  /// O(1) copy, whatever the period count.
-  [[nodiscard]] LearnStats counters() const {
-    LearnStats c;
-    c.periods_processed = periods_processed;
-    c.messages_processed = messages_processed;
-    c.peak_hypotheses = peak_hypotheses;
-    c.hypotheses_created = hypotheses_created;
-    c.merges = merges;
-    c.unexplained_messages = unexplained_messages;
-    c.quarantined_periods = quarantined_periods;
-    c.wall_seconds = wall_seconds;
-    return c;
-  }
 };
 
 struct LearnResult {

@@ -49,8 +49,6 @@ struct LearnerMetrics {
   obs::Counter& pruned;
   /// Messages no hypothesis could explain (bounded learner keeps going).
   obs::Counter& unexplained;
-  /// Periods quarantined at the learner level (conservative weakening).
-  obs::Counter& quarantined;
   /// Peak live-hypothesis count ever observed (set_max high-water mark).
   obs::Gauge& version_space_peak;
   /// Wall time to learn one period.
@@ -70,7 +68,6 @@ struct LearnerMetrics {
         r.counter("bbmg_learner_hypotheses_branched_total"),
         r.counter("bbmg_learner_hypotheses_pruned_total"),
         r.counter("bbmg_learner_unexplained_messages_total"),
-        r.counter("bbmg_learner_quarantined_periods_total"),
         r.gauge("bbmg_learner_version_space_peak"),
         r.histogram("bbmg_learner_period_latency_us",
                     obs::default_latency_buckets_us()),

@@ -87,7 +87,6 @@ void OnlineLearner::observe_period(const Period& period) {
   post_process_period(frontier_, pc);
   unit.lap(phase(LearnerPhase::PostProcess));
   ++stats_.periods_processed;
-  stats_.frontier_after_period.push_back(frontier_.size());
   history_.record_period(pc);
   unit.lap(phase(LearnerPhase::History));
 
@@ -112,7 +111,6 @@ void OnlineLearner::observe_quarantined_period(
   for (auto& h : frontier_) weaken_possibly_unmet_requirements(h, observed);
   remove_duplicates_and_redundant(frontier_);
   ++stats_.quarantined_periods;
-  LearnerMetrics::get().quarantined.inc();
   if (vspace_stats_ != nullptr) {
     // Quarantined periods count too: weakening can shrink the frontier.
     vspace_stats_->on_period(frontier_.size(), approx_frontier_bytes());
@@ -141,7 +139,10 @@ std::uint64_t OnlineLearner::approx_frontier_bytes() const {
 //                     bitset: u32 bits, u32 nwords, nwords x u64 }
 //   stats: u64 periods, messages, peak, created, merges, unexplained,
 //          quarantined | u64 wall_seconds (IEEE-754 bit pattern)
-//   u32 nfap x u32 (frontier size after each period)
+//   u32 ntrace (always 0; the retired per-period frontier trace)
+//
+// Files written before the trace was retired may hold ntrace x u32
+// entries there; decode skips them.
 
 namespace {
 
@@ -204,10 +205,7 @@ void OnlineLearner::encode_state(std::vector<std::uint8_t>& out) const {
   static_assert(sizeof(wall_bits) == sizeof(stats_.wall_seconds));
   std::memcpy(&wall_bits, &stats_.wall_seconds, sizeof(wall_bits));
   append_u64(out, wall_bits);
-  append_u32(out, static_cast<std::uint32_t>(stats_.frontier_after_period.size()));
-  for (const std::size_t f : stats_.frontier_after_period) {
-    append_u32(out, static_cast<std::uint32_t>(f));
-  }
+  append_u32(out, 0);
 }
 
 OnlineLearner OnlineLearner::decode_state(ByteReader& r) {
@@ -255,25 +253,14 @@ OnlineLearner OnlineLearner::decode_state(ByteReader& r) {
   const std::uint64_t wall_bits = r.read_u64();
   std::memcpy(&learner.stats_.wall_seconds, &wall_bits,
               sizeof(learner.stats_.wall_seconds));
-  const std::uint32_t nfap = r.read_u32();
-  if (nfap > kMaxPeriods) raise("learner state: period count out of range");
-  learner.stats_.frontier_after_period.clear();
-  learner.stats_.frontier_after_period.reserve(nfap);
-  for (std::uint32_t i = 0; i < nfap; ++i) {
-    learner.stats_.frontier_after_period.push_back(r.read_u32());
-  }
+  // A garbage count throws once the payload runs out (its cap bounds it).
+  for (std::uint32_t i = r.read_u32(); i > 0; --i) (void)r.read_u32();
   return learner;
 }
 
 LearnResult OnlineLearner::snapshot() const {
-  LearnResult result = model_snapshot();
-  result.stats.frontier_after_period = stats_.frontier_after_period;
-  return result;
-}
-
-LearnResult OnlineLearner::model_snapshot() const {
   LearnResult result;
-  result.stats = stats_.counters();
+  result.stats = stats_;
   result.hypotheses.reserve(frontier_.size());
   for (const auto& h : frontier_) result.hypotheses.push_back(h.d);
   std::sort(result.hypotheses.begin(), result.hypotheses.end(),

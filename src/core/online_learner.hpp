@@ -54,13 +54,10 @@ class OnlineLearner {
   [[nodiscard]] const LearnStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t num_tasks() const { return num_tasks_; }
 
-  /// Copy out matrices + stats in the batch-result shape.
+  /// Copy out matrices + stats in the batch-result shape: O(frontier)
+  /// whatever the period count (stats.frontier_after_period stays empty;
+  /// learn_heuristic fills it in its own loop).
   [[nodiscard]] LearnResult snapshot() const;
-
-  /// snapshot() without stats.frontier_after_period: O(frontier) whatever
-  /// the period count — what the serve layer publishes every period (the
-  /// wire never carries the per-period trace).
-  [[nodiscard]] LearnResult model_snapshot() const;
 
   /// Attach a live version-space stats sink (core/vspace_stats.hpp): the
   /// branching loop feeds per-message branching/scan histograms and every

@@ -104,8 +104,6 @@ void recover_session(const DurableConfig& config, const fs::path& dir,
   }
 
   RobustOnlineLearner learner = std::move(snap->learner);
-  StreamingTraceStats stats_acc;
-  stats_acc.restore(snap->stats);
   std::uint64_t last = snap->seq;
   std::uint64_t wal_base = snap->seq;
   std::uint64_t replayed = 0;
@@ -136,7 +134,6 @@ void recover_session(const DurableConfig& config, const fs::path& dir,
         const WalFileScan scan = scan_wal_file(
             wal_path.string(), [&](WalRecord&& rec) {
               if (rec.seq <= snap->seq) return;  // already in the snapshot
-              stats_acc.observe_events(rec.events);
               learner.observe_raw_period(rec.events);
               last = rec.seq;
               ++replayed;
@@ -188,7 +185,7 @@ void recover_session(const DurableConfig& config, const fs::path& dir,
     // next recovery would see an unreplayable snapshot->WAL gap and lose
     // the replayed periods.  Close the gap now.
     try {
-      store->write_snapshot(last, learner, stats_acc.summary());
+      store->write_snapshot(last, learner);
     } catch (const Error& e) {
       report.diagnostics.push_back(
           "session " + std::to_string(session_id) +
@@ -202,7 +199,7 @@ void recover_session(const DurableConfig& config, const fs::path& dir,
   report.replayed_periods += replayed;
   ++report.recovered;
   report.sessions.push_back(RecoveredSession{
-      std::move(snap->meta), last, stats_acc.summary(), std::move(learner),
+      std::move(snap->meta), last, std::move(learner),
       std::move(store), replayed});
 }
 

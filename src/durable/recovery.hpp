@@ -33,7 +33,6 @@ struct RecoveredSession {
   SessionMeta meta;
   /// Applied-period high-water mark after replay.
   std::uint64_t seq{0};
-  StreamingTraceStats::Summary stats;
   RobustOnlineLearner learner;
   /// Store re-attached to the session directory, WAL open for appending.
   std::unique_ptr<SessionStore> store;

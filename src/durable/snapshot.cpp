@@ -103,16 +103,12 @@ SessionMeta read_session_meta(ByteReader& r) {
 
 std::vector<std::uint8_t> encode_snapshot(
     const SessionMeta& meta, std::uint64_t seq,
-    const StreamingTraceStats::Summary& stats,
     const RobustOnlineLearner& learner) {
   std::vector<std::uint8_t> payload;
   append_session_meta(payload, meta);
   append_u64(payload, seq);
-  append_u64(payload, stats.periods);
-  append_u64(payload, stats.events);
-  append_u64(payload, stats.task_events);
-  append_u64(payload, stats.message_events);
-  append_u64(payload, stats.max_makespan);
+  append_u64(payload, learner.periods_seen());
+  for (int retired = 0; retired < 4; ++retired) append_u64(payload, 0);
   learner.encode_state(payload);
   BBMG_REQUIRE(payload.size() <= kMaxSnapshotPayload,
                "durable: snapshot payload exceeds the sanity cap");
@@ -152,18 +148,14 @@ LoadedSnapshot decode_snapshot(const std::uint8_t* data, std::size_t size) {
   ByteReader r(payload, payload_len);
   SessionMeta meta = read_session_meta(r);
   const std::uint64_t seq = r.read_u64();
-  StreamingTraceStats::Summary stats;
-  stats.periods = r.read_u64();
-  stats.events = r.read_u64();
-  stats.task_events = r.read_u64();
-  stats.message_events = r.read_u64();
-  stats.max_makespan = r.read_u64();
+  const std::uint64_t periods = r.read_u64();
+  for (int retired = 0; retired < 4; ++retired) (void)r.read_u64();
   RobustOnlineLearner learner =
       RobustOnlineLearner::decode_state(meta.task_names, meta.config, r);
   BBMG_REQUIRE(r.done(), "durable: trailing bytes after snapshot payload");
-  BBMG_REQUIRE(learner.periods_seen() == stats.periods,
+  BBMG_REQUIRE(learner.periods_seen() == periods,
                "durable: snapshot stats disagree with learner state");
-  return LoadedSnapshot{std::move(meta), seq, stats, std::move(learner)};
+  return LoadedSnapshot{std::move(meta), seq, std::move(learner)};
 }
 
 LoadedSnapshot decode_snapshot(const std::vector<std::uint8_t>& bytes) {

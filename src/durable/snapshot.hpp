@@ -6,7 +6,9 @@
 //   * the session metadata (id, task-name table, RobustConfig, publish
 //     interval) so recovery can rebuild the session without the client;
 //   * the applied-period high-water mark `seq`;
-//   * the StreamingTraceStats summary;
+//   * a five-u64 stats block, written as (periods seen, 0, 0, 0, 0) — the
+//     four zero slots once held raw-event totals nothing read; decode
+//     checks the first against the learner and ignores the rest;
 //   * RobustOnlineLearner::encode_state — the full learner state.
 //
 // File layout (little-endian, BBTC framing conventions):
@@ -29,7 +31,6 @@
 #include <vector>
 
 #include "robust/robust_online_learner.hpp"
-#include "trace/stats.hpp"
 
 namespace bbmg::durable {
 
@@ -53,11 +54,10 @@ struct SessionMeta {
 };
 
 /// A decoded snapshot: session metadata, the applied-period sequence
-/// number it captures, streaming-stats totals, and the restored learner.
+/// number it captures, and the restored learner.
 struct LoadedSnapshot {
   SessionMeta meta;
   std::uint64_t seq{0};
-  StreamingTraceStats::Summary stats;
   RobustOnlineLearner learner;
 };
 
@@ -65,7 +65,6 @@ struct LoadedSnapshot {
 
 [[nodiscard]] std::vector<std::uint8_t> encode_snapshot(
     const SessionMeta& meta, std::uint64_t seq,
-    const StreamingTraceStats::Summary& stats,
     const RobustOnlineLearner& learner);
 
 /// Strict decode of a whole snapshot file image; throws bbmg::Error on any

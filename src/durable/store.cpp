@@ -24,8 +24,7 @@ SessionStore::SessionStore(const DurableConfig& config, SessionMeta meta,
 
 std::unique_ptr<SessionStore> SessionStore::create(
     const DurableConfig& config, SessionMeta meta,
-    const RobustOnlineLearner& learner,
-    const StreamingTraceStats::Summary& stats) {
+    const RobustOnlineLearner& learner) {
   BBMG_REQUIRE(config.enabled(), "durable: create() with durability off");
   const std::string dir =
       (fs::path(config.dir) / session_dirname(meta.session)).string();
@@ -37,7 +36,7 @@ std::unique_ptr<SessionStore> SessionStore::create(
       new SessionStore(config, std::move(meta), dir));
   // Seq-0 snapshot first, so even a session killed before its first
   // period recovers with the right metadata and an empty learner.
-  store->write_snapshot(0, learner, stats);
+  store->write_snapshot(0, learner);
   return store;
 }
 
@@ -87,11 +86,9 @@ std::uint64_t SessionStore::snapshot_seq() const {
 }
 
 void SessionStore::write_snapshot(std::uint64_t seq,
-                                  const RobustOnlineLearner& learner,
-                                  const StreamingTraceStats::Summary& stats) {
+                                  const RobustOnlineLearner& learner) {
   const std::uint64_t t0 = obs::now_ns();
-  const std::vector<std::uint8_t> bytes =
-      encode_snapshot(meta_, seq, stats, learner);
+  const std::vector<std::uint8_t> bytes = encode_snapshot(meta_, seq, learner);
 
   std::lock_guard<std::mutex> lock(mu_);
   const std::string path =

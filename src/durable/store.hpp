@@ -49,8 +49,7 @@ class SessionStore {
   /// and start a fresh WAL.
   [[nodiscard]] static std::unique_ptr<SessionStore> create(
       const DurableConfig& config, SessionMeta meta,
-      const RobustOnlineLearner& learner,
-      const StreamingTraceStats::Summary& stats);
+      const RobustOnlineLearner& learner);
 
   /// Re-attach to a recovered session directory.  `snapshot_seq` is the
   /// seq of the snapshot recovery restored from; `wal_base_seq` /
@@ -76,8 +75,7 @@ class SessionStore {
 
   /// Write a snapshot of the learner at `seq`, prune old snapshots down
   /// to kSnapshotsToKeep, and rotate the WAL to base `seq`.
-  void write_snapshot(std::uint64_t seq, const RobustOnlineLearner& learner,
-                      const StreamingTraceStats::Summary& stats);
+  void write_snapshot(std::uint64_t seq, const RobustOnlineLearner& learner);
 
   /// True when `seq` has advanced snapshot_every periods past the last
   /// snapshot (periodic compaction trigger).

@@ -45,8 +45,8 @@ bool RobustOnlineLearner::observe_raw_period(const std::vector<Event>& events) {
       vs.on_alloc(d.bytes, d.count);
     }
   } charge{*vspace_, alloc0};
-  SanitizedPeriod sp = sanitizer_.sanitize_period(events, seen_);
-  ++seen_;
+  const std::size_t index = periods_seen();
+  SanitizedPeriod sp = sanitizer_.sanitize_period(events, index);
   repairs_ += sp.repairs;
   defects_.insert(defects_.end(), sp.defects.begin(), sp.defects.end());
   metrics.periods.inc();
@@ -60,11 +60,10 @@ bool RobustOnlineLearner::observe_raw_period(const std::vector<Event>& events) {
     } catch (const Error&) {
       // A repaired period the learner still chokes on: degrade, don't die.
       defects_.push_back(
-          Defect{DefectKind::ResidualViolation, seen_ - 1, 0, false});
+          Defect{DefectKind::ResidualViolation, index, 0, false});
       metrics.defect(DefectKind::ResidualViolation).inc();
     }
   }
-  ++quarantined_;
   metrics.quarantined.inc();
   learner_.observe_quarantined_period(sp.observed_tasks);
   note_health_transition();
@@ -79,18 +78,18 @@ void RobustOnlineLearner::note_health_transition() {
 }
 
 void RobustOnlineLearner::observe_clean_period(const Period& period) {
-  ++seen_;
   learner_.observe_period(period);
 }
 
 double RobustOnlineLearner::quarantine_rate() const {
-  return seen_ == 0 ? 0.0
-                    : static_cast<double>(quarantined_) /
-                          static_cast<double>(seen_);
+  const std::size_t seen = periods_seen();
+  return seen == 0 ? 0.0
+                   : static_cast<double>(periods_quarantined()) /
+                         static_cast<double>(seen);
 }
 
 HealthState RobustOnlineLearner::health() const {
-  if (seen_ < config_.min_periods_for_health) return HealthState::OK;
+  if (periods_seen() < config_.min_periods_for_health) return HealthState::OK;
   const double rate = quarantine_rate();
   if (rate >= config_.failed_threshold) return HealthState::Failed;
   if (rate >= config_.degraded_threshold) return HealthState::Degraded;
@@ -99,11 +98,11 @@ HealthState RobustOnlineLearner::health() const {
 
 RobustSnapshot RobustOnlineLearner::full_snapshot() const {
   RobustSnapshot snap;
-  snap.result = learner_.model_snapshot();
+  snap.result = learner_.snapshot();
   snap.health = health();
-  snap.periods_seen = seen_;
+  snap.periods_seen = periods_seen();
   snap.periods_learned = periods_learned();
-  snap.periods_quarantined = quarantined_;
+  snap.periods_quarantined = periods_quarantined();
   snap.repairs = repairs_;
   return snap;
 }
@@ -115,8 +114,10 @@ constexpr std::size_t kMaxStateDefects = 1u << 26;
 }  // namespace
 
 void RobustOnlineLearner::encode_state(std::vector<std::uint8_t>& out) const {
-  append_u64(out, seen_);
-  append_u64(out, quarantined_);
+  // The seen/quarantined slots are derived from the nested learner's
+  // counters; decode checks them against it.
+  append_u64(out, periods_seen());
+  append_u64(out, periods_quarantined());
   append_u64(out, repairs_);
   append_u8(out, static_cast<std::uint8_t>(last_health_));
   append_u32(out, static_cast<std::uint32_t>(defects_.size()));
@@ -133,12 +134,9 @@ RobustOnlineLearner RobustOnlineLearner::decode_state(
     TaskNames task_names, const RobustConfig& config,
     ByteReader& r) {
   RobustOnlineLearner rl(std::move(task_names), config);
-  rl.seen_ = r.read_u64();
-  rl.quarantined_ = r.read_u64();
+  const std::uint64_t seen = r.read_u64();
+  const std::uint64_t quarantined = r.read_u64();
   rl.repairs_ = r.read_u64();
-  if (rl.quarantined_ > rl.seen_) {
-    raise("robust state: quarantined exceeds seen");
-  }
   const std::uint8_t health = r.read_u8();
   if (health > static_cast<std::uint8_t>(HealthState::Failed)) {
     raise("robust state: invalid health state");
@@ -165,6 +163,9 @@ RobustOnlineLearner RobustOnlineLearner::decode_state(
     raise("robust state: task count mismatch with nested learner");
   }
   rl.learner_ = std::move(restored);
+  if (seen != rl.periods_seen() || quarantined != rl.periods_quarantined()) {
+    raise("robust state: period counts disagree with nested learner");
+  }
   // The restored learner carries a null stats pointer (wiring is not
   // state); re-attach the wrapper's live sink.
   rl.learner_.set_vspace_stats(rl.vspace_.get());
@@ -174,12 +175,13 @@ RobustOnlineLearner RobustOnlineLearner::decode_state(
 std::string RobustOnlineLearner::health_summary() const {
   char buf[192];
   const double learned_pct =
-      seen_ == 0 ? 100.0 : 100.0 * (1.0 - quarantine_rate());
+      periods_seen() == 0 ? 100.0 : 100.0 * (1.0 - quarantine_rate());
   std::snprintf(buf, sizeof(buf),
                 "model learned from %.1f%% of periods, %.1f%% quarantined "
                 "(%zu of %zu periods, %zu repairs; health: %s)",
-                learned_pct, 100.0 * quarantine_rate(), quarantined_, seen_,
-                repairs_, std::string(health_state_name(health())).c_str());
+                learned_pct, 100.0 * quarantine_rate(), periods_quarantined(),
+                periods_seen(), repairs_,
+                std::string(health_state_name(health())).c_str());
   return buf;
 }
 

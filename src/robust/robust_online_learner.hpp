@@ -75,12 +75,17 @@ class RobustOnlineLearner {
 
   [[nodiscard]] HealthState health() const;
   [[nodiscard]] double quarantine_rate() const;
-  [[nodiscard]] std::size_t periods_seen() const { return seen_; }
+  /// Period accounting, derived from the wrapped learner's counters (the
+  /// one place periods are counted): every period is either learned or
+  /// quarantined.
+  [[nodiscard]] std::size_t periods_seen() const {
+    return periods_learned() + periods_quarantined();
+  }
   [[nodiscard]] std::size_t periods_learned() const {
-    return seen_ - quarantined_;
+    return learner_.stats().periods_processed;
   }
   [[nodiscard]] std::size_t periods_quarantined() const {
-    return quarantined_;
+    return static_cast<std::size_t>(learner_.stats().quarantined_periods);
   }
   [[nodiscard]] std::size_t repairs() const { return repairs_; }
   [[nodiscard]] const std::vector<Defect>& defects() const {
@@ -103,9 +108,8 @@ class RobustOnlineLearner {
   /// quadratic in the per-event fault rate.
   [[nodiscard]] LearnResult snapshot() const { return learner_.snapshot(); }
 
-  /// The model (OnlineLearner::model_snapshot, so no per-period trace)
-  /// plus health and quarantine accounting in one consistent copy; the
-  /// serve layer's publication hook.
+  /// The model plus health and quarantine accounting in one consistent
+  /// copy; the serve layer's publication hook.
   [[nodiscard]] RobustSnapshot full_snapshot() const;
 
   /// Live version-space introspection, sampled inside observe: frontier
@@ -148,8 +152,6 @@ class RobustOnlineLearner {
   std::shared_ptr<VersionSpaceStats> vspace_;
   OnlineLearner learner_;
   HealthState last_health_{HealthState::OK};
-  std::size_t seen_{0};
-  std::size_t quarantined_{0};
   std::size_t repairs_{0};
   std::vector<Defect> defects_;
 };

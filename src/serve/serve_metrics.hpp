@@ -19,6 +19,8 @@ struct ServeMetrics {
   obs::Counter& sessions_opened;
   /// Client connections accepted by the server.
   obs::Counter& connections;
+  /// Client connections currently open (accepted and not yet ended).
+  obs::Gauge& open_connections;
   /// Connections closed by the server's idle policy (--idle-timeout).
   obs::Counter& connections_idle_closed;
   /// accept() failures the listener survived (EMFILE, ENFILE, ENOBUFS,
@@ -83,6 +85,7 @@ struct ServeMetrics {
     return ServeMetrics{
         r.counter("bbmg_serve_sessions_opened_total"),
         r.counter("bbmg_serve_connections_total"),
+        r.gauge("bbmg_serve_open_connections"),
         r.counter("bbmg_serve_connections_idle_closed_total"),
         r.counter("bbmg_serve_accept_errors_total"),
         r.counter("bbmg_serve_submits_total"),

@@ -1,5 +1,7 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -66,28 +68,36 @@ void Server::stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   net::close_socket(listen_fd_);
   listen_fd_ = -1;
+  // The accept thread is joined, so no connection is added any more;
+  // ended ones already closed their fd (shutdown skips -1).
+  std::vector<std::unique_ptr<Connection>> conns;
   {
     std::lock_guard<std::mutex> lock(connections_mu_);
     for (auto& conn : connections_) net::shutdown_socket(conn->fd);
+    conns.swap(connections_);
   }
-  // Connection threads exit on the shutdown-induced EOF; join outside the
-  // lock (threads remove nothing themselves, the vector is stable).
-  for (;;) {
-    std::unique_ptr<Connection> conn;
-    {
-      std::lock_guard<std::mutex> lock(connections_mu_);
-      if (connections_.empty()) break;
-      conn = std::move(connections_.back());
-      connections_.pop_back();
-    }
-    if (conn->thread.joinable()) conn->thread.join();
-    net::close_socket(conn->fd);
-  }
+  // Connection threads exit on the shutdown-induced EOF and close their
+  // own fd; join outside the lock they take to do so.
+  for (auto& conn : conns) conn->thread.join();
   manager_.stop();
+}
+
+void Server::reap_finished() {
+  std::vector<std::unique_ptr<Connection>> ended;
+  {
+    std::lock_guard<std::mutex> lock(connections_mu_);
+    const auto live = std::partition(
+        connections_.begin(), connections_.end(),
+        [](const std::unique_ptr<Connection>& c) { return c->fd >= 0; });
+    std::move(live, connections_.end(), std::back_inserter(ended));
+    connections_.erase(live, connections_.end());
+  }
+  for (auto& conn : ended) conn->thread.join();
 }
 
 void Server::accept_loop() {
   while (!stopping_.load(std::memory_order_relaxed)) {
+    reap_finished();
     std::optional<int> fd = net::accept_connection(listen_fd_);
     if (!fd.has_value()) break;
     std::lock_guard<std::mutex> lock(connections_mu_);
@@ -99,7 +109,16 @@ void Server::accept_loop() {
     conn->fd = *fd;
     Connection* raw = conn.get();
     connections_.push_back(std::move(conn));
-    raw->thread = std::thread([this, raw] { serve_connection(raw->fd); });
+    ServeMetrics::get().open_connections.add();
+    // The thread's closing lock waits for this scope, so raw->thread is
+    // assigned before any reaper can see the connection as ended.
+    raw->thread = std::thread([this, raw, fd = *fd] {
+      serve_connection(fd);
+      std::lock_guard<std::mutex> closing(connections_mu_);
+      net::close_socket(fd);
+      raw->fd = -1;
+      ServeMetrics::get().open_connections.sub();
+    });
   }
 }
 

@@ -69,11 +69,16 @@ class Server {
 
  private:
   struct Connection {
+    /// Closed and reset to -1 by the connection's own thread, under
+    /// connections_mu_, when it ends: stop() never shuts down a recycled
+    /// fd number, and an ended connection holds no descriptor.
     int fd{-1};
     std::thread thread;
   };
 
   void accept_loop();
+  /// Join and drop every connection whose thread has ended.
+  void reap_finished();
   void serve_connection(int fd);
 
   ServerConfig config_;

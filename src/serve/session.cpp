@@ -28,7 +28,6 @@ LearningSession::LearningSession(SessionId id, TaskNames task_names,
   processed_ = static_cast<std::size_t>(restored.seq);
   last_enqueued_seq_.store(restored.seq, std::memory_order_relaxed);
   flushed_seq_.store(restored.seq, std::memory_order_relaxed);
-  stream_stats_.restore(restored.stats);
   snapshot_ = std::make_shared<const RobustSnapshot>(learner_.full_snapshot());
 }
 
@@ -67,8 +66,7 @@ void LearningSession::checkpoint() {
   // A failed session's learner may be mid-mutation; snapshotting it would
   // persist (and later replay from) state no uninterrupted run produces.
   if (!store_ || failed()) return;
-  store_->write_snapshot(static_cast<std::uint64_t>(processed()), learner_,
-                         stream_stats_.summary());
+  store_->write_snapshot(static_cast<std::uint64_t>(processed()), learner_);
 }
 
 void LearningSession::mark_failed(const std::string& why) {
@@ -122,7 +120,6 @@ void LearningSession::process(const std::vector<Event>& period_events,
   // Attributed to the request's trace when the worker set a scope (the
   // WAL spans above record themselves the same way, inside the writer).
   const std::uint64_t apply_start = obs::now_ns();
-  stream_stats_.observe_events(period_events);
   (void)learner_.observe_raw_period(period_events);
   obs::record_current_stage("server.apply", apply_start, obs::now_ns());
   ServeMetrics& metrics = ServeMetrics::get();
@@ -156,7 +153,7 @@ void LearningSession::process(const std::vector<Event>& period_events,
   // WAL.  Crash windows are covered: before the snapshot rename the old
   // snapshot+WAL recover, after it the new snapshot does.
   if (store_ && store_->should_compact(seq)) {
-    store_->write_snapshot(seq, learner_, stream_stats_.summary());
+    store_->write_snapshot(seq, learner_);
   }
 }
 

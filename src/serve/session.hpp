@@ -29,7 +29,6 @@
 #include "obs/metrics.hpp"
 #include "robust/robust_online_learner.hpp"
 #include "trace/event.hpp"
-#include "trace/stats.hpp"
 
 namespace bbmg {
 
@@ -51,11 +50,10 @@ struct SessionConfig {
 };
 
 /// Learner state carried from a durable::RecoveredSession into a restored
-/// LearningSession: the replayed learner, stream-stats totals, and the
-/// applied-period high-water mark.
+/// LearningSession: the replayed learner and the applied-period high-water
+/// mark.
 struct RestoredSessionState {
   RobustOnlineLearner learner;
-  StreamingTraceStats::Summary stats;
   std::uint64_t seq{0};
 };
 
@@ -116,12 +114,6 @@ class LearningSession {
     return static_cast<std::size_t>(rejected_.value());
   }
   [[nodiscard]] std::size_t processed() const;
-
-  /// Streaming descriptive statistics of everything this session ingested
-  /// (raw events, pre-sanitizer); readable from any thread.
-  [[nodiscard]] StreamingTraceStats::Summary stream_stats() const {
-    return stream_stats_.summary();
-  }
 
   /// Live version-space introspection (VspaceRequest).  Readable from
   /// any thread while the worker learns: the stats block is stable-address
@@ -204,7 +196,6 @@ class LearningSession {
   // depends on accepted_).
   obs::AtomicCounter accepted_;
   obs::AtomicCounter rejected_;
-  StreamingTraceStats stream_stats_;
   std::atomic<bool> closed_{false};
   std::atomic<bool> failed_{false};
   std::string failure_;  // guarded by state_mu_; set once by mark_failed

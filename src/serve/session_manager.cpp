@@ -92,7 +92,7 @@ std::shared_ptr<LearningSession> SessionManager::make_recovered(
   cfg.snapshot_interval = rec.meta.snapshot_interval;
   auto session = std::make_shared<LearningSession>(
       SessionId{rec.meta.session}, names_.intern(rec.meta.task_names), cfg,
-      RestoredSessionState{std::move(rec.learner), rec.stats, rec.seq});
+      RestoredSessionState{std::move(rec.learner), rec.seq});
   session->attach_store(std::move(rec.store));
   return session;
 }
@@ -257,8 +257,7 @@ SessionManager::Victims SessionManager::create_session_locked(
     const RobustOnlineLearner initial(session->task_names(),
                                       session->config().robust);
     session->attach_store(durable::SessionStore::create(
-        config_.durable, std::move(meta), initial,
-        StreamingTraceStats::Summary{}));
+        config_.durable, std::move(meta), initial));
   }
   ServeMetrics::get().sessions_opened.inc();
   // `session` is held here, so it is never among the victims.

@@ -89,41 +89,4 @@ std::string stats_to_string(const TraceStats& stats,
   return out;
 }
 
-void StreamingTraceStats::observe_events(const std::vector<Event>& events) {
-  periods_.add(1);
-  if (events.empty()) return;
-  events_.add(events.size());
-  std::uint64_t task_events = 0;
-  TimeNs first = events.front().time;
-  TimeNs last = events.front().time;
-  for (const Event& e : events) {
-    if (e.kind == EventKind::TaskStart || e.kind == EventKind::TaskEnd) {
-      ++task_events;
-    }
-    first = std::min(first, e.time);
-    last = std::max(last, e.time);
-  }
-  task_events_.add(task_events);
-  message_events_.add(events.size() - task_events);
-  max_makespan_.update(static_cast<std::uint64_t>(last - first));
-}
-
-void StreamingTraceStats::restore(const Summary& s) {
-  periods_.add(s.periods);
-  events_.add(s.events);
-  task_events_.add(s.task_events);
-  message_events_.add(s.message_events);
-  max_makespan_.update(s.max_makespan);
-}
-
-StreamingTraceStats::Summary StreamingTraceStats::summary() const {
-  Summary s;
-  s.periods = periods_.value();
-  s.events = events_.value();
-  s.task_events = task_events_.value();
-  s.message_events = message_events_.value();
-  s.max_makespan = max_makespan_.value();
-  return s;
-}
-
 }  // namespace bbmg

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "trace/event.hpp"
 #include "trace/trace.hpp"
 
@@ -44,43 +43,6 @@ struct TraceStats {
 };
 
 [[nodiscard]] TraceStats compute_stats(const Trace& trace);
-
-/// Thread-safe streaming counterpart of TraceStats for live ingestion:
-/// workers observe raw period event lists as they arrive and any thread can
-/// read a consistent-enough summary at any time.  Built on the always-on
-/// relaxed-atomic primitives (obs/metrics.hpp), so it keeps counting in
-/// BBMG_OBS=OFF builds — these are functional statistics, not
-/// instrumentation.  Unlike compute_stats it works per raw period (no
-/// whole-Trace in memory) and therefore tracks only the whole-stream
-/// aggregates, not per-task breakdowns.
-class StreamingTraceStats {
- public:
-  struct Summary {
-    std::uint64_t periods{0};
-    std::uint64_t events{0};
-    std::uint64_t task_events{0};
-    std::uint64_t message_events{0};
-    /// Largest (last event time - first event time) over observed periods.
-    std::uint64_t max_makespan{0};
-  };
-
-  /// Account one raw period's event list (any thread).
-  void observe_events(const std::vector<Event>& events);
-
-  [[nodiscard]] Summary summary() const;
-
-  /// Seed a freshly constructed accumulator with a previously captured
-  /// summary (durable-snapshot restore).  Adds onto current values, so it
-  /// must be called once, before any observe_events.
-  void restore(const Summary& s);
-
- private:
-  obs::AtomicCounter periods_;
-  obs::AtomicCounter events_;
-  obs::AtomicCounter task_events_;
-  obs::AtomicCounter message_events_;
-  obs::AtomicMax max_makespan_;
-};
 
 /// Multi-line human-readable rendering.
 [[nodiscard]] std::string stats_to_string(const TraceStats& stats,

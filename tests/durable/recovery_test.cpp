@@ -46,26 +46,22 @@ SessionMeta meta_for(const Trace& trace, std::uint32_t session = 0) {
 }
 
 /// Drive a store + learner the way LearningSession::process does: WAL
-/// append, stats, learn, compact when due.  Returns the learner state
-/// after the last period.
+/// append, learn, compact when due.  Returns the learner state after the
+/// last period.
 struct DrivenSession {
   RobustOnlineLearner learner;
-  StreamingTraceStats stats;
   std::unique_ptr<SessionStore> store;
   std::uint64_t seq{0};
 
   DrivenSession(const DurableConfig& config, const SessionMeta& meta)
       : learner(meta.task_names, meta.config),
-        store(SessionStore::create(config, meta, learner, {})) {}
+        store(SessionStore::create(config, meta, learner)) {}
 
   void apply(const std::vector<Event>& events) {
     ++seq;
     store->append_period(seq, events);
-    stats.observe_events(events);
     learner.observe_raw_period(events);
-    if (store->should_compact(seq)) {
-      store->write_snapshot(seq, learner, stats.summary());
-    }
+    if (store->should_compact(seq)) store->write_snapshot(seq, learner);
   }
 };
 
@@ -98,7 +94,7 @@ TEST(Recovery, WalReplayRebuildsByteIdenticalState) {
   RecoveredSession& rec = report.sessions[0];
   EXPECT_EQ(rec.seq, 10u);
   EXPECT_EQ(rec.replayed, 10u);  // snapshot at 0, everything from the WAL
-  EXPECT_EQ(rec.stats.periods, 10u);
+  EXPECT_EQ(rec.learner.periods_seen(), 10u);
   EXPECT_EQ(learner_bytes(rec.learner), learner_bytes(baseline));
   EXPECT_TRUE(report.diagnostics.empty());
   EXPECT_EQ(report.torn_tails, 0u);
@@ -236,7 +232,6 @@ TEST(Recovery, StaleWalIsReplacedNotExtended) {
   DurableConfig config{dir, 1, 0};
   const Trace trace = gm_trace(6, 4);
   RobustOnlineLearner full(trace.task_names(), RobustConfig{});
-  StreamingTraceStats full_stats;
   {
     DrivenSession session(config, meta_for(trace));
     // WAL holds seqs 1..2 only.
@@ -245,14 +240,12 @@ TEST(Recovery, StaleWalIsReplacedNotExtended) {
     }
   }
   for (const Period& p : trace.periods()) {
-    full_stats.observe_events(p.to_events());
     full.observe_raw_period(p.to_events());
   }
   // Simulate a crash between "snapshot at 4 durably renamed" and "WAL
   // rotated": hand-write snap-4 while the WAL still ends at seq 2.
   write_file_atomic(dir + "/session-0/" + snapshot_filename(4),
-                    encode_snapshot(meta_for(trace), 4, full_stats.summary(),
-                                    full));
+                    encode_snapshot(meta_for(trace), 4, full));
 
   RecoveryReport report = recover_all(config);
   ASSERT_EQ(report.sessions.size(), 1u);

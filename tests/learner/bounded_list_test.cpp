@@ -134,7 +134,6 @@ class Lockstep {
     }
     post_process_period(frontier_, pc);
     ++ref_stats_.periods_processed;
-    ref_stats_.frontier_after_period.push_back(frontier_.size());
     history_.record_period(pc);
   }
 
@@ -159,7 +158,6 @@ void expect_same_stats(const LearnStats& got, const LearnStats& want) {
   EXPECT_EQ(got.hypotheses_created, want.hypotheses_created);
   EXPECT_EQ(got.merges, want.merges);
   EXPECT_EQ(got.unexplained_messages, want.unexplained_messages);
-  EXPECT_EQ(got.frontier_after_period, want.frontier_after_period);
 }
 
 std::vector<Trace> seeded_scenarios() {

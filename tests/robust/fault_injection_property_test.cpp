@@ -72,6 +72,11 @@ void check_soundness(const Trace& clean, double rate, std::uint64_t seed,
   }
 
   EXPECT_EQ(learner.periods_seen(), clean.num_periods());
+  // One count per session: the wrapper's accounting is the inner
+  // learner's, and every period is either processed or quarantined.
+  const LearnStats& inner = learner.learner().stats();
+  EXPECT_EQ(learner.periods_seen(),
+            inner.periods_processed + inner.quarantined_periods);
   EXPECT_EQ(learner.periods_learned() + learner.periods_quarantined(),
             clean.num_periods());
   EXPECT_EQ(learner.snapshot().stats.quarantined_periods,

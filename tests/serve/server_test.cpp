@@ -11,6 +11,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -271,6 +272,83 @@ TEST(ServerRobustness, AcceptLoopSurvivesFdExhaustion) {
   } catch (const Error& e) {
     ADD_FAILURE() << "server stopped accepting after EMFILE: " << e.what();
   }
+  client.disconnect();
+  server.stop();
+}
+
+/// Entries of a /proc/self directory: open fds or live threads.
+std::size_t proc_self_count(const char* dir) {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// A connection releases its fd and its thread when it ends, not at stop():
+// a daemon that a monitor scrapes over one connection per scrape keeps
+// accepting far past its fd limit, and its fd and thread counts come back
+// to where they started.  Connections run one at a time.
+TEST(ServerLifecycle, EndedConnectionsReleaseTheirFdAndThread) {
+  ServerConfig config;
+  config.manager.workers = 1;
+  Server server(config);
+  server.start();
+  const Trace trace = gm_trace(4, 2);
+  const auto cycle = [&](bool with_session) {
+    ServeClient client;
+    client.set_request_timeout_ms(5000);  // a stalled accept times out
+    client.connect("127.0.0.1", server.port());
+    if (with_session) {
+      client.close_session(client.open_session(trace.task_names()));
+    }
+    client.disconnect();
+  };
+  const obs::Gauge& open_connections =
+      obs::MetricsRegistry::instance().gauge("bbmg_serve_open_connections");
+  // Waits out the last connection thread's exit.
+  const auto settled = [&](std::size_t fds, std::size_t tasks) {
+    for (int i = 0; i < 500; ++i) {
+      if (proc_self_count("/proc/self/fd") <= fds &&
+          proc_self_count("/proc/self/task") <= tasks &&
+          open_connections.value() == 0) {
+        return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
+  };
+  cycle(true);  // lazily created state joins the baseline
+  ASSERT_TRUE(settled(proc_self_count("/proc/self/fd"),
+                      proc_self_count("/proc/self/task")));
+  const std::size_t fds0 = proc_self_count("/proc/self/fd");
+  const std::size_t tasks0 = proc_self_count("/proc/self/task");
+  constexpr rlim_t kLimit = 128;
+  ASSERT_LT(fds0 + 16, kLimit);
+  {
+    const ScopedFdLimit limit(kLimit);
+    for (std::size_t i = 0; i < 10 * kLimit + 20; ++i) {
+      try {
+        cycle(i % 16 == 0);
+      } catch (const Error& e) {
+        ADD_FAILURE() << "cycle " << i << ": " << e.what();
+        break;
+      }
+    }
+  }
+  EXPECT_TRUE(settled(fds0 + 2, tasks0 + 2))
+      << "fds " << proc_self_count("/proc/self/fd") << " (baseline " << fds0
+      << "), threads " << proc_self_count("/proc/self/task") << " (baseline "
+      << tasks0 << "), open connections " << open_connections.value();
+
+  ServeClient client;
+  client.set_request_timeout_ms(5000);
+  client.connect("127.0.0.1", server.port());
+  const std::uint32_t session = client.open_session(trace.task_names());
+  EXPECT_EQ(client.send_trace(session, trace), trace.num_periods());
+  EXPECT_EQ(client.query(session, /*drain=*/true).periods_seen,
+            trace.num_periods());
   client.disconnect();
   server.stop();
 }

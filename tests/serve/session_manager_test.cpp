@@ -278,7 +278,7 @@ TEST(SessionManagerDurable, HugeRecoveredSessionIdIsIgnored) {
   meta.snapshot_interval = 1;
   {
     const RobustOnlineLearner learner(meta.task_names, meta.config);
-    (void)durable::SessionStore::create(dconfig, meta, learner, {});
+    (void)durable::SessionStore::create(dconfig, meta, learner);
   }
 
   SessionManager manager(ManagerConfig{1, 8, dconfig});
