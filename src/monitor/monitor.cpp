@@ -103,29 +103,18 @@ void Monitor::start() {
   BBMG_REQUIRE(!running_.exchange(true), "monitor: already started");
   if (config_.listen) {
     net::ignore_sigpipe();
-    listener_ = net::listen_tcp(config_.port, 16);
-    listen_thread_ = std::thread([this] { listen_loop(); });
+    acceptor_.start(
+        config_.port, 16,
+        [this](int fd, std::uint64_t) { serve_connection(fd); },
+        &MonitorMetrics::get().open_connections);
   }
   scrape_thread_ = std::thread([this] { scrape_loop(); });
 }
 
 void Monitor::stop() {
   if (!running_.exchange(false)) return;
-  if (listener_.fd >= 0) {
-    net::shutdown_socket(listener_.fd);
-    net::close_socket(listener_.fd);
-  }
-  if (listen_thread_.joinable()) listen_thread_.join();
+  acceptor_.stop();
   if (scrape_thread_.joinable()) scrape_thread_.join();
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conns.swap(conn_threads_);
-  }
-  for (std::thread& t : conns) {
-    if (t.joinable()) t.join();
-  }
-  listener_ = net::Listener{};
 }
 
 void Monitor::scrape_loop() {
@@ -138,19 +127,6 @@ void Monitor::scrape_loop() {
       sleep_ms(slice);
       left -= slice;
     }
-  }
-}
-
-void Monitor::listen_loop() {
-  while (running_.load(std::memory_order_relaxed)) {
-    std::optional<int> fd = net::accept_connection(listener_.fd);
-    if (!fd.has_value()) break;
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (!running_.load(std::memory_order_relaxed)) {
-      net::close_socket(*fd);
-      break;
-    }
-    conn_threads_.emplace_back([this, fd = *fd] { serve_connection(fd); });
   }
 }
 
@@ -187,7 +163,6 @@ void Monitor::serve_connection(int fd) {
     // Dead or misbehaving peer: drop the connection, keep serving others.
   }
   net::shutdown_socket(fd);
-  net::close_socket(fd);
 }
 
 HealthResponseMsg Monitor::to_wire(const HealthReport& report) {

@@ -81,12 +81,14 @@ class Monitor {
   }
 
   /// Launch the scrape thread (wall-clock ticks) and, when configured,
-  /// the wire listener.  stop() joins both; the destructor calls stop().
+  /// the wire listener.  stop() joins the scrape thread and stops the
+  /// listener, shutting down any live connection rather than waiting for
+  /// its client to hang up; the destructor calls stop().
   void start();
   void stop();
 
   [[nodiscard]] HealthReport report() const;
-  [[nodiscard]] std::uint16_t port() const { return listener_.port; }
+  [[nodiscard]] std::uint16_t port() const { return acceptor_.port(); }
   [[nodiscard]] TsStore& store() { return store_; }
   [[nodiscard]] const TsStore& store() const { return store_; }
   [[nodiscard]] std::uint64_t ticks() const {
@@ -107,7 +109,6 @@ class Monitor {
 
  private:
   void scrape_loop();
-  void listen_loop();
   void serve_connection(int fd);
 
   MonitorConfig config_;
@@ -122,11 +123,8 @@ class Monitor {
 
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> ticks_{0};
-  net::Listener listener_{};
   std::thread scrape_thread_;
-  std::thread listen_thread_;
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;  // guarded by conn_mu_
+  net::Acceptor acceptor_;
 };
 
 }  // namespace bbmg::monitor

@@ -21,6 +21,8 @@ struct MonitorMetrics {
   obs::Counter& slo_transitions;
   /// Wall time of one full tick: scrape every target + store + evaluate.
   obs::Histogram& tick_latency_us;
+  /// Listener connections currently open (accepted and not yet ended).
+  obs::Gauge& open_connections;
 
   static MonitorMetrics& get() {
     static MonitorMetrics m = make();
@@ -43,6 +45,8 @@ struct MonitorMetrics {
         r.histogram("bbmg_monitor_tick_latency_us",
                     obs::default_latency_buckets_us(),
                     "Wall time of one scrape+store+evaluate tick"),
+        r.gauge("bbmg_monitor_open_connections",
+                "Listener connections currently open"),
     };
   }
 };

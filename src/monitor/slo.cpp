@@ -241,6 +241,15 @@ std::vector<SloObjective> default_objectives() {
     o.threshold_us = 0;  // any stalled session at all is bad
     out.push_back(std::move(o));
   }
+  {
+    SloObjective o;
+    o.name = "accept-errors";
+    o.kind = SloKind::ErrorRatio;
+    o.metric = "bbmg_serve_accept_errors_total";
+    o.total_metric = "bbmg_serve_connections_total";
+    o.target = 0.999;
+    out.push_back(std::move(o));
+  }
   return out;
 }
 

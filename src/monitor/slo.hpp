@@ -123,7 +123,9 @@ class SloEngine {
 ///   * client-errors:       99.9% of client request attempts succeed;
 ///   * replication-stalled: no shard's bbmg_cluster_replication_stalled
 ///     gauge sits above zero (pages when sustained across both windows —
-///     the controller's cue that a ship stream is stuck).
+///     the controller's cue that a ship stream is stuck);
+///   * accept-errors:       failed accept() calls stay under 0.1% of the
+///     connections served daemons accept.
 [[nodiscard]] std::vector<SloObjective> default_objectives();
 
 }  // namespace bbmg::monitor

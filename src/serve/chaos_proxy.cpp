@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <memory>
+#include <thread>
 #include <utility>
 
 namespace bbmg {
@@ -10,48 +11,33 @@ ChaosProxy::ChaosProxy(std::string upstream_host, std::uint16_t upstream_port,
                        net::ChaosConfig config, std::uint16_t listen_port)
     : upstream_host_(std::move(upstream_host)),
       upstream_port_(upstream_port),
-      config_(config),
-      listener_(net::listen_tcp(listen_port, 16)) {
+      config_(config) {
   net::ignore_sigpipe();
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  acceptor_.start(listen_port, 16, [this](int fd, std::uint64_t index) {
+    proxy_connection(fd, index);
+  });
 }
 
 ChaosProxy::~ChaosProxy() { stop(); }
 
-void ChaosProxy::accept_loop() {
-  while (running_.load(std::memory_order_relaxed)) {
-    std::optional<int> client = net::accept_connection(listener_.fd);
-    if (!client.has_value()) break;  // listener shut down
-    const std::uint64_t index =
-        connections_.fetch_add(1, std::memory_order_relaxed);
-    int upstream = -1;
-    try {
-      upstream = net::connect_tcp(upstream_host_, upstream_port_);
-    } catch (const std::exception&) {
-      // Upstream down: refuse the client the same way a dead server would.
-      net::close_socket(*client);
-      continue;
-    }
-    // Each connection gets its own chaos RNG stream so concurrent pumps do
-    // not share (and race on) one generator.
-    net::ChaosConfig conn_config = config_;
-    conn_config.seed = config_.seed + index;
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!running_.load(std::memory_order_relaxed)) {
-      net::close_socket(*client);
-      net::close_socket(upstream);
-      break;
-    }
-    Conn conn;
-    conn.client_fd = *client;
-    conn.upstream_fd = upstream;
-    conn.up = std::thread(
-        [c = *client, u = upstream] { relay(c, u, nullptr); });
-    conn.down = std::thread([c = *client, u = upstream, conn_config] {
-      relay(u, c, &conn_config);
-    });
-    conns_.push_back(std::move(conn));
+void ChaosProxy::proxy_connection(int client_fd, std::uint64_t index) {
+  int upstream = -1;
+  try {
+    upstream = net::connect_tcp(upstream_host_, upstream_port_);
+  } catch (const std::exception&) {
+    // Upstream down: refuse the client the same way a dead server would
+    // (the acceptor closes the client's fd).
+    return;
   }
+  // Each connection gets its own chaos RNG stream so concurrent pumps do
+  // not share (and race on) one generator.
+  net::ChaosConfig conn_config = config_;
+  conn_config.seed = config_.seed + index;
+  std::thread down([&] { relay(upstream, client_fd, &conn_config); });
+  relay(client_fd, upstream, nullptr);
+  // Either relay ending shuts down both sockets, so the other ends too.
+  down.join();
+  net::close_socket(upstream);
 }
 
 void ChaosProxy::relay(int src_fd, int dst_fd, const net::ChaosConfig* chaos) {
@@ -78,25 +64,6 @@ void ChaosProxy::relay(int src_fd, int dst_fd, const net::ChaosConfig* chaos) {
   net::shutdown_socket(dst_fd);
 }
 
-void ChaosProxy::stop() {
-  if (!running_.exchange(false)) return;
-  // Closing the listener fd wakes accept_connection with nullopt.
-  net::shutdown_socket(listener_.fd);
-  net::close_socket(listener_.fd);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<Conn> conns;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    conns.swap(conns_);
-  }
-  for (Conn& conn : conns) {
-    net::shutdown_socket(conn.client_fd);
-    net::shutdown_socket(conn.upstream_fd);
-    if (conn.up.joinable()) conn.up.join();
-    if (conn.down.joinable()) conn.down.join();
-    net::close_socket(conn.client_fd);
-    net::close_socket(conn.upstream_fd);
-  }
-}
+void ChaosProxy::stop() { acceptor_.stop(); }
 
 }  // namespace bbmg

@@ -9,19 +9,18 @@
 // engine is supposed to page on, which is how bench_monitor and the CI
 // monitor-smoke job manufacture a latency incident on demand.
 //
-// Each direction of a connection is one relay thread; a chaos reset (or
-// either side hanging up) shuts down both sockets, so the failure mode a
-// client sees is an ordinary dead connection that ResilientClient retries
-// through the proxy again.  Per-connection chaos RNGs are derived from
-// config.seed + connection index, so runs reproduce from the seed alone.
+// The proxy is a handler on a net::Acceptor: each connection's thread
+// dials upstream and relays client->upstream itself, with one extra
+// thread for upstream->client, and releases both sockets and the extra
+// thread when the relay ends.  A chaos reset (or either side hanging up)
+// shuts down both sockets, so the failure mode a client sees is an
+// ordinary dead connection that ResilientClient retries through the proxy
+// again.  Per-connection chaos RNGs are derived from config.seed + accept
+// index, so runs reproduce from the seed alone.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "serve/chaos_transport.hpp"
 #include "serve/net.hpp"
@@ -39,10 +38,10 @@ class ChaosProxy {
   ChaosProxy& operator=(const ChaosProxy&) = delete;
 
   /// The port clients should connect to instead of the upstream's.
-  [[nodiscard]] std::uint16_t port() const { return listener_.port; }
+  [[nodiscard]] std::uint16_t port() const { return acceptor_.port(); }
   /// Connections accepted so far (proxied or refused by upstream connect).
   [[nodiscard]] std::uint64_t connections() const {
-    return connections_.load(std::memory_order_relaxed);
+    return acceptor_.accepted();
   }
 
   /// Stop accepting, sever every live relay, join all threads.  Idempotent;
@@ -50,25 +49,13 @@ class ChaosProxy {
   void stop();
 
  private:
-  struct Conn {
-    int client_fd{-1};
-    int upstream_fd{-1};
-    std::thread up;    // client -> upstream, verbatim
-    std::thread down;  // upstream -> client, through ChaosTransport
-  };
-
-  void accept_loop();
+  void proxy_connection(int client_fd, std::uint64_t index);
   static void relay(int src_fd, int dst_fd, const net::ChaosConfig* chaos);
 
   std::string upstream_host_;
   std::uint16_t upstream_port_;
   net::ChaosConfig config_;
-  net::Listener listener_;
-  std::atomic<bool> running_{true};
-  std::atomic<std::uint64_t> connections_{0};
-  std::mutex mu_;
-  std::vector<Conn> conns_;  // guarded by mu_
-  std::thread accept_thread_;
+  net::Acceptor acceptor_;
 };
 
 }  // namespace bbmg

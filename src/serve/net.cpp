@@ -7,10 +7,12 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <iterator>
 #include <sstream>
 #include <thread>
 
@@ -62,6 +64,32 @@ void set_nosigpipe(int fd) {
 #endif
 }
 
+/// Accept one connection; nullopt when the listener was shut down or
+/// closed.  Any other failure is counted, logged and retried.
+std::optional<int> accept_connection(int listen_fd) {
+  for (;;) {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd >= 0) {
+      const int one = 1;
+      (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      set_nosigpipe(fd);
+      return fd;
+    }
+    const int err = errno;
+    if (err == EINTR) continue;
+    // EBADF/EINVAL: the listener was closed or shut down — clean stop.
+    if (err == EBADF || err == EINVAL) return std::nullopt;
+    // Anything else (EMFILE, ENFILE, ENOBUFS, ENOMEM, ECONNABORTED, ...)
+    // is a transient failure of this one accept, not of the listener:
+    // count it, back off, and keep accepting.
+    ServeMetrics::get().accept_errors.inc();
+    BBMG_LOG_WARN("serve.accept_error", std::strerror(err),
+                  {{"errno", err}, {"listen_fd", listen_fd}});
+    std::this_thread::sleep_for(kAcceptRetryBackoff);
+    if (!still_listening(listen_fd)) return std::nullopt;
+  }
+}
+
 }  // namespace
 
 void ignore_sigpipe() {
@@ -105,27 +133,76 @@ Listener listen_tcp(std::uint16_t port, int backlog) {
   return Listener{fd, ntohs(addr.sin_port)};
 }
 
-std::optional<int> accept_connection(int listen_fd) {
+Acceptor::~Acceptor() { stop(); }
+
+void Acceptor::start(std::uint16_t port, int backlog, Handler handler,
+                     obs::Gauge* open_connections) {
+  BBMG_REQUIRE(listen_fd_ < 0, "net: acceptor already started");
+  const Listener listener = listen_tcp(port, backlog);
+  listen_fd_ = listener.fd;
+  port_ = listener.port;
+  handler_ = std::move(handler);
+  open_connections_ = open_connections;
+  accept_thread_ = std::thread([this] { accept_loop(); });
+}
+
+void Acceptor::stop() {
+  std::lock_guard<std::mutex> serial(stop_mu_);
+  if (listen_fd_ < 0) return;
+  // Unblock the accept loop and join it before closing the fd: the
+  // accept thread reads listen_fd_ until it exits.
+  shutdown_socket(listen_fd_);
+  accept_thread_.join();
+  close_socket(listen_fd_);
+  listen_fd_ = -1;
+  // The accept thread is joined, so no connection is added any more;
+  // ended ones already closed their fd (shutdown skips -1).
+  std::vector<std::unique_ptr<Connection>> live;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto& conn : connections_) shutdown_socket(conn->fd);
+    live.swap(connections_);
+  }
+  // Handlers return on the shutdown-induced EOF and their threads close
+  // their own fd; join outside the lock they take to do so.
+  for (auto& conn : live) conn->thread.join();
+}
+
+void Acceptor::reap_finished() {
+  std::vector<std::unique_ptr<Connection>> ended;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto live = std::partition(
+        connections_.begin(), connections_.end(),
+        [](const std::unique_ptr<Connection>& c) { return c->fd >= 0; });
+    std::move(live, connections_.end(), std::back_inserter(ended));
+    connections_.erase(live, connections_.end());
+  }
+  for (auto& conn : ended) conn->thread.join();
+}
+
+void Acceptor::accept_loop() {
   for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd >= 0) {
-      const int one = 1;
-      (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      set_nosigpipe(fd);
-      return fd;
-    }
-    const int err = errno;
-    if (err == EINTR) continue;
-    // EBADF/EINVAL: the listener was closed or shut down — clean stop.
-    if (err == EBADF || err == EINVAL) return std::nullopt;
-    // Anything else (EMFILE, ENFILE, ENOBUFS, ENOMEM, ECONNABORTED, ...)
-    // is a transient failure of this one accept, not of the listener:
-    // count it, back off, and keep accepting.
-    ServeMetrics::get().accept_errors.inc();
-    BBMG_LOG_WARN("serve.accept_error", std::strerror(err),
-                  {{"errno", err}, {"listen_fd", listen_fd}});
-    std::this_thread::sleep_for(kAcceptRetryBackoff);
-    if (!still_listening(listen_fd)) return std::nullopt;
+    reap_finished();
+    const std::optional<int> fd = accept_connection(listen_fd_);
+    if (!fd.has_value()) return;
+    const std::uint64_t index =
+        accepted_.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    auto conn = std::make_unique<Connection>();
+    conn->fd = *fd;
+    Connection* raw = conn.get();
+    connections_.push_back(std::move(conn));
+    if (open_connections_ != nullptr) open_connections_->add();
+    // The thread's closing lock waits for this scope, so raw->thread is
+    // assigned before any reaper can see the connection as ended.
+    raw->thread = std::thread([this, raw, fd = *fd, index] {
+      handler_(fd, index);
+      std::lock_guard<std::mutex> closing(mu_);
+      close_socket(fd);
+      raw->fd = -1;
+      if (open_connections_ != nullptr) open_connections_->sub();
+    });
   }
 }
 

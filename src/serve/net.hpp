@@ -18,11 +18,21 @@
 // protocol.hpp so the codec/framing logic stays testable without sockets.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "serve/protocol.hpp"
+
+namespace bbmg::obs {
+class Gauge;
+}  // namespace bbmg::obs
 
 namespace bbmg::net {
 
@@ -43,11 +53,72 @@ struct Listener {
 
 [[nodiscard]] Listener listen_tcp(std::uint16_t port, int backlog);
 
-/// Accept one connection; nullopt when the listener was shut down or
-/// closed.  Any other accept() failure (fd exhaustion, an aborted
-/// handshake) is counted in bbmg_serve_accept_errors_total, logged, and
-/// retried after a short back-off, so the accept loop never dies silently.
-[[nodiscard]] std::optional<int> accept_connection(int listen_fd);
+/// The one accept loop of every listening daemon (Server, Monitor,
+/// ChaosProxy): a listener, its accept thread, and one thread per live
+/// connection running the owner's handler.
+///
+/// A connection's thread closes its own fd, under the connection lock,
+/// when its handler returns, so an ended connection holds no descriptor
+/// and stop() never shuts down a recycled fd number.  The accept thread
+/// joins ended threads before each accept, so fds, threads and stacks
+/// scale with live connections, not with how many the listener served.
+/// A failed accept() (fd exhaustion, an aborted handshake) is counted in
+/// bbmg_serve_accept_errors_total, logged, and retried after a short
+/// back-off, so the accept loop never dies silently.
+class Acceptor {
+ public:
+  /// Serves one connection on its own thread; `accept_index` numbers
+  /// connections from 0 in accept order.  Must not throw and must not
+  /// close `fd`: the acceptor closes it when the handler returns.
+  using Handler = std::function<void(int fd, std::uint64_t accept_index)>;
+
+  Acceptor() = default;
+  ~Acceptor();
+
+  Acceptor(const Acceptor&) = delete;
+  Acceptor& operator=(const Acceptor&) = delete;
+
+  /// Bind 127.0.0.1:<port> (0 = ephemeral), listen, and start accepting.
+  /// `open_connections`, when given, counts live connections.  Throws
+  /// bbmg::Error on bind failure or when already started.
+  void start(std::uint16_t port, int backlog, Handler handler,
+             obs::Gauge* open_connections = nullptr);
+
+  /// The bound port (after start()).
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] bool started() const { return listen_fd_ >= 0; }
+  /// Connections accepted so far.
+  [[nodiscard]] std::uint64_t accepted() const {
+    return accepted_.load(std::memory_order_relaxed);
+  }
+
+  /// Stop accepting, shut down every live connection's socket, and join
+  /// every thread; returns once no handler runs.  Idempotent and safe to
+  /// call from several threads; also run by the destructor.
+  void stop();
+
+ private:
+  struct Connection {
+    /// -1 once the connection's thread has closed it (under mu_).
+    int fd{-1};
+    std::thread thread;
+  };
+
+  void accept_loop();
+  /// Join and drop every connection whose thread has ended.
+  void reap_finished();
+
+  Handler handler_;
+  obs::Gauge* open_connections_{nullptr};
+  int listen_fd_{-1};
+  std::uint16_t port_{0};
+  std::atomic<std::uint64_t> accepted_{0};
+  std::thread accept_thread_;
+  /// Serializes stop() callers.
+  std::mutex stop_mu_;
+  std::mutex mu_;
+  std::vector<std::unique_ptr<Connection>> connections_;  // guarded by mu_
+};
 
 [[nodiscard]] int connect_tcp(const std::string& host, std::uint16_t port);
 

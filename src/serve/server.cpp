@@ -1,7 +1,5 @@
 #include "serve/server.hpp"
 
-#include <algorithm>
-#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -34,7 +32,7 @@ Server::Server(ServerConfig config)
 Server::~Server() { stop(); }
 
 void Server::set_cluster(std::shared_ptr<ClusterHooks> cluster) {
-  BBMG_REQUIRE(listen_fd_ < 0, "set_cluster must run before start()");
+  BBMG_REQUIRE(!acceptor_.started(), "set_cluster must run before start()");
   cluster_ = std::move(cluster);
   if (cluster_) {
     // The hooks outlive manager_.stop() (see header contract), so the
@@ -50,76 +48,15 @@ void Server::set_cluster(std::shared_ptr<ClusterHooks> cluster) {
 }
 
 void Server::start() {
-  BBMG_REQUIRE(listen_fd_ < 0, "server already started");
-  const net::Listener listener = net::listen_tcp(config_.port, config_.backlog);
-  listen_fd_ = listener.fd;
-  port_ = listener.port;
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  acceptor_.start(
+      config_.port, config_.backlog,
+      [this](int fd, std::uint64_t) { serve_connection(fd); },
+      &ServeMetrics::get().open_connections);
 }
 
 void Server::stop() {
-  if (stopping_.exchange(true)) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    return;
-  }
-  // Unblock the accept loop and join it before closing or clearing the
-  // fd: the accept thread keeps reading listen_fd_ until it exits.
-  net::shutdown_socket(listen_fd_);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  net::close_socket(listen_fd_);
-  listen_fd_ = -1;
-  // The accept thread is joined, so no connection is added any more;
-  // ended ones already closed their fd (shutdown skips -1).
-  std::vector<std::unique_ptr<Connection>> conns;
-  {
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    for (auto& conn : connections_) net::shutdown_socket(conn->fd);
-    conns.swap(connections_);
-  }
-  // Connection threads exit on the shutdown-induced EOF and close their
-  // own fd; join outside the lock they take to do so.
-  for (auto& conn : conns) conn->thread.join();
+  acceptor_.stop();
   manager_.stop();
-}
-
-void Server::reap_finished() {
-  std::vector<std::unique_ptr<Connection>> ended;
-  {
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    const auto live = std::partition(
-        connections_.begin(), connections_.end(),
-        [](const std::unique_ptr<Connection>& c) { return c->fd >= 0; });
-    std::move(live, connections_.end(), std::back_inserter(ended));
-    connections_.erase(live, connections_.end());
-  }
-  for (auto& conn : ended) conn->thread.join();
-}
-
-void Server::accept_loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    reap_finished();
-    std::optional<int> fd = net::accept_connection(listen_fd_);
-    if (!fd.has_value()) break;
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    if (stopping_.load(std::memory_order_relaxed)) {
-      net::close_socket(*fd);
-      break;
-    }
-    auto conn = std::make_unique<Connection>();
-    conn->fd = *fd;
-    Connection* raw = conn.get();
-    connections_.push_back(std::move(conn));
-    ServeMetrics::get().open_connections.add();
-    // The thread's closing lock waits for this scope, so raw->thread is
-    // assigned before any reaper can see the connection as ended.
-    raw->thread = std::thread([this, raw, fd = *fd] {
-      serve_connection(fd);
-      std::lock_guard<std::mutex> closing(connections_mu_);
-      net::close_socket(fd);
-      raw->fd = -1;
-      ServeMetrics::get().open_connections.sub();
-    });
-  }
 }
 
 void Server::serve_connection(int fd) {

@@ -1,6 +1,6 @@
 // bbmg_served's engine: a TCP front-end over the SessionManager.
 //
-// One accept thread plus one thread per connection; each connection speaks
+// A net::Acceptor runs one thread per connection; each connection speaks
 // the framed protocol (protocol.hpp), accumulates Events frames into the
 // current period of each session it addresses, and hands complete periods
 // to the manager at EndPeriod.  Submission blocks when the session's shard
@@ -16,14 +16,11 @@
 // decoupled into the manager's worker pool.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "serve/cluster_hooks.hpp"
+#include "serve/net.hpp"
 #include "serve/session_manager.hpp"
 
 namespace bbmg {
@@ -53,7 +50,7 @@ class Server {
   void start();
 
   /// The actually bound port (after start()).
-  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] std::uint16_t port() const { return acceptor_.port(); }
 
   [[nodiscard]] SessionManager& manager() { return manager_; }
 
@@ -68,30 +65,13 @@ class Server {
   void stop();
 
  private:
-  struct Connection {
-    /// Closed and reset to -1 by the connection's own thread, under
-    /// connections_mu_, when it ends: stop() never shuts down a recycled
-    /// fd number, and an ended connection holds no descriptor.
-    int fd{-1};
-    std::thread thread;
-  };
-
-  void accept_loop();
-  /// Join and drop every connection whose thread has ended.
-  void reap_finished();
   void serve_connection(int fd);
 
   ServerConfig config_;
   SessionManager manager_;
   /// Cluster seam (null = single-node mode); see serve/cluster_hooks.hpp.
   std::shared_ptr<ClusterHooks> cluster_;
-  int listen_fd_{-1};
-  std::uint16_t port_{0};
-  std::thread accept_thread_;
-  std::atomic<bool> stopping_{false};
-
-  std::mutex connections_mu_;
-  std::vector<std::unique_ptr<Connection>> connections_;
+  net::Acceptor acceptor_;
 };
 
 }  // namespace bbmg

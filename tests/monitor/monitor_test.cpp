@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "serve/client.hpp"
 #include "serve/net.hpp"
 #include "serve/server.hpp"
+#include "support/proc_stats.hpp"
 
 namespace bbmg::monitor {
 namespace {
@@ -122,7 +124,7 @@ TEST(Monitor, ServesHealthAndItsOwnMetricsOverTheWire) {
   MonitorConfig config;
   config.listen = true;
   config.interval_ms = 20;
-  Monitor mon(config);  // empty objectives -> the stock three
+  Monitor mon(config);  // empty objectives -> the stock five
   mon.add_local("fleet", &registry);
   mon.start();
   ASSERT_GT(mon.port(), 0);
@@ -135,7 +137,7 @@ TEST(Monitor, ServesHealthAndItsOwnMetricsOverTheWire) {
   client.connect("127.0.0.1", mon.port());
   const HealthReport report = Monitor::from_wire(client.fetch_health());
   EXPECT_EQ(report.overall, AlertState::Ok);  // no traffic burns nothing
-  ASSERT_EQ(report.objectives.size(), 4u);
+  ASSERT_EQ(report.objectives.size(), default_objectives().size());
   EXPECT_EQ(report.objectives[0].name, "ingest-latency");
   ASSERT_EQ(report.endpoints.size(), 1u);
   EXPECT_EQ(report.endpoints[0].name, "fleet");
@@ -177,6 +179,57 @@ TEST(Monitor, RefusesHelloAtAnyOtherVersion) {
   EXPECT_FALSE(acked(kServeProtocolVersion - 1));
   EXPECT_FALSE(acked(kServeProtocolVersion + 1));
   EXPECT_TRUE(acked(kServeProtocolVersion));
+  mon.stop();
+}
+
+// stop() shuts down live connections instead of waiting for their peers:
+// an idle client that said Hello and went quiet must not hold it open.
+TEST(Monitor, StopUnblocksLiveConnections) {
+  MonitorConfig config;
+  config.interval_ms = 20;
+  Monitor mon(config);
+  mon.start();
+  const int fd = net::connect_tcp("127.0.0.1", mon.port());
+  net::set_socket_timeout(fd, 5000);
+  HelloMsg hello;
+  hello.version = kServeProtocolVersion;
+  net::write_frame(fd, hello.to_frame(FrameType::Hello));
+  FrameDecoder decoder;
+  const std::optional<Frame> ack = net::read_frame(fd, decoder);
+  ASSERT_TRUE(ack.has_value() && ack->type == FrameType::HelloAck);
+
+  std::future<void> stopped =
+      std::async(std::launch::async, [&] { mon.stop(); });
+  const bool prompt = stopped.wait_for(std::chrono::seconds(5)) ==
+                      std::future_status::ready;
+  // Closing our end releases a stop() that waits for the peer, so a
+  // failure is reported instead of hanging the suite.
+  net::close_socket(fd);
+  stopped.get();
+  EXPECT_TRUE(prompt) << "stop() waited for an idle client to hang up";
+}
+
+// Every health query runs on its own connection thread; the monitor must
+// give back that thread's fd and stack when the query ends, so threads,
+// fds and virtual size stay flat however many queries it answers.
+TEST(Monitor, SequentialQueriesReleaseThreadsFdsAndStacks) {
+  MonitorConfig config;
+  config.interval_ms = 20;
+  Monitor mon(config);
+  mon.start();
+  test::expect_flat_footprint("/proc/self", 200, [&] {
+    ServeClient client;
+    client.set_request_timeout_ms(5000);
+    client.connect("127.0.0.1", mon.port());
+    (void)client.fetch_health();
+    client.disconnect();
+  });
+  if (obs::kEnabled) {
+    EXPECT_EQ(obs::MetricsRegistry::instance()
+                  .gauge("bbmg_monitor_open_connections")
+                  .value(),
+              0);
+  }
   mon.stop();
 }
 
@@ -280,6 +333,24 @@ TEST(ChaosProxy, InjectedDelayInflatesObservedRtt) {
   EXPECT_GE(std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
                 .count(),
             1000);
+}
+
+// Each relay gives back its two sockets and its two threads (with their
+// stacks) when the connection ends, not at stop().
+TEST(ChaosProxy, EndedRelaysReleaseTheirFdsAndThreads) {
+  Server server;
+  server.start();
+  ChaosProxy proxy("127.0.0.1", server.port(), net::ChaosConfig{});
+  test::expect_flat_footprint("/proc/self", 100, [&] {
+    ServeClient client;
+    client.set_request_timeout_ms(5000);
+    client.connect("127.0.0.1", proxy.port());
+    client.close_session(client.open_session({"a", "b"}));
+    client.disconnect();
+  });
+  EXPECT_GE(proxy.connections(), 100u);
+  proxy.stop();
+  server.stop();
 }
 
 }  // namespace

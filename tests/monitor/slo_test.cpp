@@ -219,7 +219,7 @@ TEST(SloEngine, RejectsMalformedObjectives) {
 
 TEST(SloEngine, DefaultObjectivesCoverIngestRttErrorsAndReplication) {
   const std::vector<SloObjective> defaults = default_objectives();
-  ASSERT_EQ(defaults.size(), 4u);
+  ASSERT_EQ(defaults.size(), 5u);
   EXPECT_EQ(defaults[0].name, "ingest-latency");
   EXPECT_EQ(defaults[1].name, "client-rtt");
   EXPECT_EQ(defaults[2].name, "client-errors");
@@ -227,9 +227,13 @@ TEST(SloEngine, DefaultObjectivesCoverIngestRttErrorsAndReplication) {
   EXPECT_EQ(defaults[3].name, "replication-stalled");
   EXPECT_EQ(defaults[3].kind, SloKind::GaugeAbove);
   EXPECT_EQ(defaults[3].metric, "bbmg_cluster_replication_stalled");
+  EXPECT_EQ(defaults[4].name, "accept-errors");
+  EXPECT_EQ(defaults[4].kind, SloKind::ErrorRatio);
+  EXPECT_EQ(defaults[4].metric, "bbmg_serve_accept_errors_total");
+  EXPECT_EQ(defaults[4].total_metric, "bbmg_serve_connections_total");
   TsStore store;
-  SloEngine engine(store, defaults);  // all four validate
-  EXPECT_EQ(engine.objectives().size(), 4u);
+  SloEngine engine(store, defaults);  // all five validate
+  EXPECT_EQ(engine.objectives().size(), 5u);
 }
 
 SloObjective gauge_objective() {

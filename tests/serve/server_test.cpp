@@ -11,7 +11,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "serve/net.hpp"
 #include "serve/server.hpp"
 #include "sim/simulator.hpp"
+#include "support/proc_stats.hpp"
 
 namespace bbmg {
 namespace {
@@ -276,16 +276,6 @@ TEST(ServerRobustness, AcceptLoopSurvivesFdExhaustion) {
   server.stop();
 }
 
-/// Entries of a /proc/self directory: open fds or live threads.
-std::size_t proc_self_count(const char* dir) {
-  std::size_t n = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    (void)entry;
-    ++n;
-  }
-  return n;
-}
-
 // A connection releases its fd and its thread when it ends, not at stop():
 // a daemon that a monitor scrapes over one connection per scrape keeps
 // accepting far past its fd limit, and its fd and thread counts come back
@@ -310,8 +300,8 @@ TEST(ServerLifecycle, EndedConnectionsReleaseTheirFdAndThread) {
   // Waits out the last connection thread's exit.
   const auto settled = [&](std::size_t fds, std::size_t tasks) {
     for (int i = 0; i < 500; ++i) {
-      if (proc_self_count("/proc/self/fd") <= fds &&
-          proc_self_count("/proc/self/task") <= tasks &&
+      if (test::proc_count("/proc/self/fd") <= fds &&
+          test::proc_count("/proc/self/task") <= tasks &&
           open_connections.value() == 0) {
         return true;
       }
@@ -320,10 +310,10 @@ TEST(ServerLifecycle, EndedConnectionsReleaseTheirFdAndThread) {
     return false;
   };
   cycle(true);  // lazily created state joins the baseline
-  ASSERT_TRUE(settled(proc_self_count("/proc/self/fd"),
-                      proc_self_count("/proc/self/task")));
-  const std::size_t fds0 = proc_self_count("/proc/self/fd");
-  const std::size_t tasks0 = proc_self_count("/proc/self/task");
+  ASSERT_TRUE(settled(test::proc_count("/proc/self/fd"),
+                      test::proc_count("/proc/self/task")));
+  const std::size_t fds0 = test::proc_count("/proc/self/fd");
+  const std::size_t tasks0 = test::proc_count("/proc/self/task");
   constexpr rlim_t kLimit = 128;
   ASSERT_LT(fds0 + 16, kLimit);
   {
@@ -338,8 +328,8 @@ TEST(ServerLifecycle, EndedConnectionsReleaseTheirFdAndThread) {
     }
   }
   EXPECT_TRUE(settled(fds0 + 2, tasks0 + 2))
-      << "fds " << proc_self_count("/proc/self/fd") << " (baseline " << fds0
-      << "), threads " << proc_self_count("/proc/self/task") << " (baseline "
+      << "fds " << test::proc_count("/proc/self/fd") << " (baseline " << fds0
+      << "), threads " << test::proc_count("/proc/self/task") << " (baseline "
       << tasks0 << "), open connections " << open_connections.value();
 
   ServeClient client;
