@@ -3,8 +3,8 @@
 // The learner tracks, per hypothesis and per period, the set of assumed
 // sender->receiver pairs as a t*t bitset (paper §3.1 condition 3: a pair may
 // carry at most one message per period).  std::vector<bool> is too slow for
-// the hash/equality/merge operations that dominate the exact learner, so we
-// keep an explicit word array.
+// the equality/merge operations the learners run per child, so we keep an
+// explicit word array (Hypothesis::key walks its set bits).
 #pragma once
 
 #include <cstddef>
@@ -94,14 +94,6 @@ class DynamicBitset {
     b.bits_ = bits;
     b.words_ = std::move(words);
     return b;
-  }
-
-  [[nodiscard]] std::uint64_t hash_mix(std::uint64_t seed) const {
-    std::uint64_t h = seed ^ (bits_ * 0x9e3779b97f4a7c15ull);
-    for (auto w : words_) {
-      h ^= w + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    }
-    return h;
   }
 
  private:

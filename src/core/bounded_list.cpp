@@ -6,55 +6,6 @@
 
 namespace bbmg {
 
-// -- KeySet -------------------------------------------------------------------
-
-void KeySet::insert(std::uint64_t key, std::uint32_t slot) {
-  if ((size_ + 1) * 2 > cells_.size()) grow();
-  std::size_t i = key & mask_;
-  while (cells_[i].slot != kNone) i = (i + 1) & mask_;
-  cells_[i] = Cell{key, slot};
-  ++size_;
-}
-
-void KeySet::erase(std::uint64_t key, std::uint32_t slot) {
-  std::size_t i = key & mask_;
-  while (cells_[i].key != key || cells_[i].slot != slot) {
-    BBMG_ASSERT(cells_[i].slot != kNone, "key set: erasing an absent entry");
-    i = (i + 1) & mask_;
-  }
-  // Backward-shift deletion: pull later members of the probe run into the
-  // hole whenever their home position does not lie in (hole, j].
-  for (std::size_t j = (i + 1) & mask_; cells_[j].slot != kNone;
-       j = (j + 1) & mask_) {
-    const std::size_t home = cells_[j].key & mask_;
-    const bool stays =
-        i <= j ? (i < home && home <= j) : (i < home || home <= j);
-    if (stays) continue;
-    cells_[i] = cells_[j];
-    i = j;
-  }
-  cells_[i].slot = kNone;
-  --size_;
-}
-
-void KeySet::clear() {
-  if (size_ == 0) return;
-  for (Cell& c : cells_) c.slot = kNone;
-  size_ = 0;
-}
-
-void KeySet::grow() {
-  std::vector<Cell> old = std::move(cells_);
-  cells_.assign(std::max<std::size_t>(16, old.size() * 2), Cell{});
-  mask_ = cells_.size() - 1;
-  size_ = 0;
-  for (const Cell& c : old) {
-    if (c.slot != kNone) insert(c.key, c.slot);
-  }
-}
-
-// -- BoundedList --------------------------------------------------------------
-
 namespace {
 
 /// Min-heap order: lighter first, then earlier insertion (std heaps are
@@ -69,27 +20,19 @@ void BoundedList::add_child(const KeyedHypothesis& parent,
                             const CandidatePair& pair,
                             const CoExecutionHistory& history) {
   const Assumption a = parent.h.plan_assume(pair, history);
-  const std::uint64_t weight = parent.weight - dep_distance(a.old_fwd) -
-                               dep_distance(a.old_bwd) + dep_distance(a.fwd) +
-                               dep_distance(a.bwd);
-  const std::uint64_t key =
-      parent.key ^ DependencyMatrix::cell_key(a.fwd_cell, a.old_fwd) ^
-      DependencyMatrix::cell_key(a.fwd_cell, a.fwd) ^
-      DependencyMatrix::cell_key(a.bwd_cell, a.old_bwd) ^
-      DependencyMatrix::cell_key(a.bwd_cell, a.bwd) ^
-      Hypothesis::used_key(a.fwd_cell);
+  const ChildKey ck = child_key(parent, a);
   const auto same = [&](std::uint32_t s) {
-    return slots_[s].weight == weight &&
+    return slots_[s].weight == ck.weight &&
            slots_[s].h.equals_assumed(parent.h, a);
   };
-  if (keys_.find(key, same) != KeySet::kNone) return;
+  if (keys_.find(ck.key, same) != KeySet::kNone) return;
 
   const std::uint32_t slot = acquire_slot();
   KeyedHypothesis& child = slots_[slot];
   child.h = parent.h;  // copy-assign: reuses the slot's buffers
   child.h.apply(a);
-  child.weight = weight;
-  child.key = key;
+  child.weight = ck.weight;
+  child.key = ck.key;
   push(slot);
   while (heap_.size() > bound_) merge_two_least();
 }

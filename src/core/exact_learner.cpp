@@ -1,65 +1,17 @@
 #include "core/exact_learner.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "core/history.hpp"
 #include "core/hypothesis.hpp"
+#include "core/key_set.hpp"
 #include "core/learner_metrics.hpp"
 #include "core/post_process.hpp"
 #include "obs/span.hpp"
 
 namespace bbmg {
-
-namespace {
-
-/// Remove every hypothesis dominated by another (see
-/// ExactConfig::dominance_pruning).
-void prune_dominated(std::vector<Hypothesis>& frontier) {
-  std::vector<bool> dead(frontier.size(), false);
-  for (std::size_t i = 0; i < frontier.size(); ++i) {
-    if (dead[i]) continue;
-    for (std::size_t j = 0; j < frontier.size(); ++j) {
-      if (i == j || dead[j]) continue;
-      if (frontier[j].d.leq(frontier[i].d) &&
-          frontier[j].used.is_subset_of(frontier[i].used) &&
-          !(frontier[j] == frontier[i])) {
-        dead[i] = true;
-        break;
-      }
-    }
-  }
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < frontier.size(); ++i) {
-    if (!dead[i]) {
-      if (w != i) frontier[w] = std::move(frontier[i]);
-      ++w;
-    }
-  }
-  frontier.resize(w);
-}
-
-/// Insert h into out unless an equal (matrix, assumptions) state exists.
-/// `index` maps hash -> indices into out for collision resolution.
-void insert_deduped(std::vector<Hypothesis>& out,
-                    std::unordered_map<std::uint64_t, std::vector<std::size_t>>& index,
-                    Hypothesis h) {
-  const std::uint64_t hash = h.hash();
-  auto it = index.find(hash);
-  if (it != index.end()) {
-    for (std::size_t i : it->second) {
-      if (out[i] == h) return;
-    }
-    it->second.push_back(out.size());
-  } else {
-    index.emplace(hash, std::vector<std::size_t>{out.size()});
-  }
-  out.push_back(std::move(h));
-}
-
-}  // namespace
 
 LearnResult learn_exact(const Trace& trace, const ExactConfig& config) {
   const std::size_t n = trace.num_tasks();
@@ -81,24 +33,45 @@ LearnResult learn_exact(const Trace& trace, const ExactConfig& config) {
     ++period_no;
     obs::Span span(&metrics.period_latency_us, "learner.exact_period");
     const std::uint64_t created0 = stats.hypotheses_created;
-    std::uint64_t pruned = 0;
     const PeriodCandidates pc(period, n);
 
+    // As in the bounded learner, the message loop works on keyed members:
+    // a child's key is O(1) from its parent, one KeySet probe finds an
+    // equal earlier child, and only a new child is copied.
+    std::vector<KeyedHypothesis> front;
+    front.reserve(frontier.size());
+    for (Hypothesis& h : frontier) front.emplace_back(std::move(h));
+    KeySet index;
     for (std::size_t msg = 0; msg < pc.num_messages(); ++msg) {
       ++stats.messages_processed;
       const auto& cands = pc.candidates(msg);
 
-      std::vector<Hypothesis> next;
-      std::unordered_map<std::uint64_t, std::vector<std::size_t>> index;
-      next.reserve(frontier.size());
+      std::vector<KeyedHypothesis> next;
+      next.reserve(front.size());
+      index.clear();
 
-      for (const Hypothesis& h : frontier) {
+      for (const KeyedHypothesis& parent : front) {
         for (const CandidatePair& p : cands) {
-          if (h.pair_used(p)) continue;
-          Hypothesis child = h;
-          child.assume(p, history);
+          if (parent.h.pair_used(p)) continue;
           ++stats.hypotheses_created;
-          insert_deduped(next, index, std::move(child));
+          const Assumption a = parent.h.plan_assume(p, history);
+          const ChildKey ck = child_key(parent, a);
+          const auto same = [&](std::uint32_t s) {
+            return next[s].weight == ck.weight &&
+                   next[s].h.equals_assumed(parent.h, a);
+          };
+          if (index.find(ck.key, same) != KeySet::kNone) continue;
+          if (next.size() == config.max_frontier) {
+            raise("exact learner: hypothesis set exceeded max_frontier (" +
+                  std::to_string(config.max_frontier) + ") at period " +
+                  std::to_string(period_no) +
+                  " — use the heuristic learner for this trace");
+          }
+          index.insert(ck.key, static_cast<std::uint32_t>(next.size()));
+          KeyedHypothesis& child = next.emplace_back(parent);
+          child.h.apply(a);
+          child.weight = ck.weight;
+          child.key = ck.key;
         }
       }
 
@@ -108,20 +81,11 @@ LearnResult learn_exact(const Trace& trace, const ExactConfig& config) {
               " — the trace violates the MoC assumptions or the "
               "generalization language cannot express it");
       }
-      if (next.size() > config.max_frontier) {
-        raise("exact learner: hypothesis set exceeded max_frontier (" +
-              std::to_string(config.max_frontier) + ") at period " +
-              std::to_string(period_no) +
-              " — use the heuristic learner for this trace");
-      }
       stats.peak_hypotheses = std::max(stats.peak_hypotheses, next.size());
-      frontier = std::move(next);
-      if (config.dominance_pruning && frontier.size() <= config.dominance_limit) {
-        const std::size_t before = frontier.size();
-        prune_dominated(frontier);
-        pruned += before - frontier.size();
-      }
+      front = std::move(next);
     }
+    frontier.clear();
+    for (KeyedHypothesis& h : front) frontier.push_back(std::move(h.h));
 
     post_process_period(frontier, pc);
     ++stats.periods_processed;
@@ -131,7 +95,6 @@ LearnResult learn_exact(const Trace& trace, const ExactConfig& config) {
     metrics.periods.inc();
     metrics.messages.inc(pc.num_messages());
     metrics.branched.inc(stats.hypotheses_created - created0);
-    metrics.pruned.inc(pruned);
     metrics.version_space_peak.set_max(
         static_cast<std::int64_t>(stats.peak_hypotheses));
   }

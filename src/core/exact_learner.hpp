@@ -9,9 +9,10 @@
 // The set of hypotheses can grow exponentially in the number of messages
 // per period (the underlying problem is NP-hard, Theorem 1); identical
 // (matrix, assumption-set) states reached through different branch orders
-// are unified eagerly to keep realistic traces tractable.  `max_frontier`
-// is a hard safety valve: exceeding it throws bbmg::Error rather than
-// thrashing.
+// are unified eagerly to keep realistic traces tractable — keyed on
+// Hypothesis::key through a KeySet, as in the bounded learner, so no
+// duplicate child is ever copied.  `max_frontier` is a hard safety valve:
+// the first new child past it throws bbmg::Error rather than thrashing.
 #pragma once
 
 #include "core/learn_result.hpp"
@@ -22,20 +23,6 @@ namespace bbmg {
 struct ExactConfig {
   /// Abort (throw) if the mid-period hypothesis set exceeds this size.
   std::size_t max_frontier = 4'000'000;
-
-  /// Lossless mid-period pruning beyond the paper: drop hypothesis h1 when
-  /// some h2 in the frontier has h2.d <= h1.d AND h2.used ⊆ h1.used.
-  /// Every future extension of h1 then has a counterpart extension of h2
-  /// that is <= it (the generalization and weakening operators are
-  /// monotone in the lattice, and a subset assumption-set can always make
-  /// the same assumption), so h1's descendants are exactly the redundant
-  /// hypotheses the period-end post-processing would delete anyway.  The
-  /// final minimal set is provably unchanged (asserted by property tests);
-  /// only the intermediate frontier shrinks.
-  bool dominance_pruning = false;
-  /// The O(k^2) dominance scan is only applied while the frontier is at
-  /// most this large.
-  std::size_t dominance_limit = 4096;
 };
 
 /// Run the exact learner over the whole trace.  Throws bbmg::Error if the

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/bitset.hpp"
@@ -19,8 +20,8 @@
 namespace bbmg {
 
 /// What Hypothesis::assume changes — two cells and one assumption bit —
-/// computed without applying it, so the bounded learner can key and
-/// dedup a child before copying its parent.
+/// computed without applying it, so a learner can key and dedup a child
+/// before copying its parent.
 struct Assumption {
   std::size_t sender{0};
   std::size_t receiver{0};
@@ -120,8 +121,6 @@ struct Hypothesis {
     return used.test(pair.pair_index);
   }
 
-  [[nodiscard]] std::uint64_t hash() const { return used.hash_mix(d.hash()); }
-
   /// Zobrist term of assumption bit `i`, disjoint from every
   /// DependencyMatrix::cell_key (cell terms use values 1..6 in the low
   /// three bits, assumption bits use 7).
@@ -130,7 +129,7 @@ struct Hypothesis {
   }
 
   /// Full Zobrist key: the matrix's cell terms XOR the assumed bits' terms.
-  /// O(t^2); the bounded learner derives children's keys in O(1).
+  /// O(t^2); the learners derive children's keys in O(1) (child_key).
   [[nodiscard]] std::uint64_t key() const {
     std::uint64_t k = d.zobrist_key();
     const std::vector<std::uint64_t>& words = used.words();
@@ -146,5 +145,39 @@ struct Hypothesis {
     return a.d == b.d && a.used == b.used;
   }
 };
+
+/// A hypothesis with its lattice weight (DependencyMatrix::weight) and its
+/// Zobrist key (Hypothesis::key), the form the learners branch on.
+struct KeyedHypothesis {
+  Hypothesis h;
+  std::uint64_t weight{0};
+  std::uint64_t key{0};
+
+  KeyedHypothesis() = default;
+  /// Computes weight and key from scratch (O(t^2)).
+  explicit KeyedHypothesis(Hypothesis hyp)
+      : h(std::move(hyp)), weight(h.d.weight()), key(h.key()) {}
+};
+
+struct ChildKey {
+  std::uint64_t weight{0};
+  std::uint64_t key{0};
+};
+
+/// Weight and key of parent.h after apply(a), derived in O(1) from the
+/// parent's: `a` changes two cells and sets one assumption bit, so the
+/// weight moves by the two cells' distance delta and the key XORs out
+/// their old terms and XORs in their new terms and the bit's.
+[[nodiscard]] inline ChildKey child_key(const KeyedHypothesis& parent,
+                                        const Assumption& a) {
+  return ChildKey{
+      parent.weight - dep_distance(a.old_fwd) - dep_distance(a.old_bwd) +
+          dep_distance(a.fwd) + dep_distance(a.bwd),
+      parent.key ^ DependencyMatrix::cell_key(a.fwd_cell, a.old_fwd) ^
+          DependencyMatrix::cell_key(a.fwd_cell, a.fwd) ^
+          DependencyMatrix::cell_key(a.bwd_cell, a.old_bwd) ^
+          DependencyMatrix::cell_key(a.bwd_cell, a.bwd) ^
+          Hypothesis::used_key(a.fwd_cell)};
+}
 
 }  // namespace bbmg

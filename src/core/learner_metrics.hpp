@@ -45,7 +45,7 @@ struct LearnerMetrics {
   obs::Counter& messages;
   /// Hypotheses branched (children created during candidate expansion).
   obs::Counter& branched;
-  /// Hypotheses pruned (bounded-list merges, dominance pruning).
+  /// Hypotheses pruned by the bounded list's merges.
   obs::Counter& pruned;
   /// Messages no hypothesis could explain (bounded learner keeps going).
   obs::Counter& unexplained;

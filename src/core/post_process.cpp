@@ -1,6 +1,6 @@
 #include "core/post_process.hpp"
 
-#include <unordered_set>
+#include "core/key_set.hpp"
 
 namespace bbmg {
 
@@ -38,25 +38,17 @@ void weaken_possibly_unmet_requirements(Hypothesis& h,
 }
 
 void remove_duplicates_and_redundant(std::vector<Hypothesis>& frontier) {
-  // Unify equal matrices (assumptions are expected to be cleared already,
-  // but equality on Hypothesis covers both fields, so this is safe either
-  // way).
-  std::unordered_set<std::uint64_t> seen_hashes;
+  // Unify equal hypotheses, keeping the first of each in frontier order
+  // (assumptions are expected to be cleared already, but the key and the
+  // equality both cover the two fields, so this is safe either way).
+  KeySet seen;
   std::vector<Hypothesis> unique;
   unique.reserve(frontier.size());
   for (auto& h : frontier) {
-    const std::uint64_t hash = h.hash();
-    if (seen_hashes.contains(hash)) {
-      bool dup = false;
-      for (const auto& u : unique) {
-        if (u.hash() == hash && u == h) {
-          dup = true;
-          break;
-        }
-      }
-      if (dup) continue;
-    }
-    seen_hashes.insert(hash);
+    const std::uint64_t key = h.key();
+    const auto same = [&](std::uint32_t s) { return unique[s] == h; };
+    if (seen.find(key, same) != KeySet::kNone) continue;
+    seen.insert(key, static_cast<std::uint32_t>(unique.size()));
     unique.push_back(std::move(h));
   }
 

@@ -1,11 +1,11 @@
 #include "core/version_space.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/error.hpp"
 #include "core/candidates.hpp"
 #include "core/exact_learner.hpp"
+#include "core/key_set.hpp"
 #include "core/matching.hpp"
 
 namespace bbmg {
@@ -53,7 +53,11 @@ std::vector<DependencyMatrix> specialize_against(
     const std::vector<PeriodCandidates>& positives, std::size_t budget) {
   std::vector<DependencyMatrix> found;
   std::vector<DependencyMatrix> frontier{g};
-  std::unordered_set<std::uint64_t> seen{g.hash()};
+  // Every node explored so far, indexed by Zobrist key; a key hit counts
+  // as seen only if the stored matrix is equal.
+  std::vector<DependencyMatrix> seen{g};
+  KeySet seen_keys;
+  seen_keys.insert(g.zobrist_key(), 0);
   const std::size_t n = g.num_tasks();
 
   while (!frontier.empty() && budget > 0) {
@@ -65,7 +69,11 @@ std::vector<DependencyMatrix> specialize_against(
           for (DepValue lower : lower_covers(m.at(a, b))) {
             DependencyMatrix c = m;
             c.set(a, b, lower);
-            if (!seen.insert(c.hash()).second) continue;
+            const std::uint64_t key = c.zobrist_key();
+            const auto same = [&](std::uint32_t s) { return seen[s] == c; };
+            if (seen_keys.find(key, same) != KeySet::kNone) continue;
+            seen_keys.insert(key, static_cast<std::uint32_t>(seen.size()));
+            seen.push_back(c);
             if (budget > 0) --budget;
             if (!matches_period(c, negative)) {
               if (matches_all(c, positives)) found.push_back(std::move(c));

@@ -53,27 +53,21 @@ class DependencyMatrix {
   /// Pointwise least upper bound; both matrices must have equal size.
   [[nodiscard]] DependencyMatrix lub(const DependencyMatrix& other) const;
 
-  /// Pointwise greatest lower bound.
-  [[nodiscard]] DependencyMatrix glb(const DependencyMatrix& other) const;
-
   /// Sum of dep_distance over all ordered pairs (paper Definition 8).
   [[nodiscard]] std::uint64_t weight() const;
-
-  /// FNV-ish content hash (used by the learner's dedup tables).
-  [[nodiscard]] std::uint64_t hash() const;
 
   /// Zobrist term of one row-major cell holding `v`: a stateless mix of
   /// (cell, value), with || contributing 0 so d_bot keys to 0.  A matrix's
   /// key is the XOR of its cells' terms, so changing one cell updates the
-  /// key in O(1) (the bounded learner's duplicate detection).
+  /// key in O(1).  This key is what every learner deduplicates on.
   [[nodiscard]] static std::uint64_t cell_key(std::size_t cell, DepValue v) {
     return v == DepValue::Parallel
                ? 0
                : mix64(cell * 8 + static_cast<std::uint64_t>(v));
   }
 
-  /// XOR of cell_key over every cell (O(t^2); the learner keeps keys
-  /// incrementally and calls this once per hypothesis per period).
+  /// XOR of cell_key over every cell (O(t^2); the learners keep keys
+  /// incrementally and call this once per hypothesis per period).
   [[nodiscard]] std::uint64_t zobrist_key() const;
 
   /// In place *this = lub(*this, other).  `weight` and `key` enter as this

@@ -207,8 +207,8 @@ TEST(DepValue, GeneralizationIsMinimalAndSound) {
 }
 
 TEST(DepValue, GeneralizationIsMonotone) {
-  // Needed for the learner's dominance argument: extending a more specific
-  // hypothesis never overtakes a more general one.
+  // Extending a more specific hypothesis never overtakes a more general
+  // one.
   for (DepValue a : kAllDepValues) {
     for (DepValue b : kAllDepValues) {
       if (!dep_leq(a, b)) continue;

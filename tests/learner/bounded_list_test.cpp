@@ -9,11 +9,13 @@
 
 #include "core/bounded_list.hpp"
 #include "core/heuristic_learner.hpp"
+#include "core/key_set.hpp"
 #include "core/online_learner.hpp"
 #include "core/post_process.hpp"
 #include "gen/gm_case_study.hpp"
 #include "gen/scenarios.hpp"
 #include "sim/simulator.hpp"
+#include "support/learn_digest.hpp"
 
 namespace bbmg {
 namespace {
@@ -202,33 +204,6 @@ TEST(BoundedListDifferential, MatchesLinearScanAfterEveryMessageAndPeriod) {
 
 // -- pinned result: learn_heuristic(bench::gm_trace()) -----------------------
 
-std::uint64_t digest(const LearnResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto add = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
-  add(r.hypotheses.size());
-  for (const DependencyMatrix& m : r.hypotheses) {
-    for (std::size_t a = 0; a < m.num_tasks(); ++a) {
-      for (std::size_t b = 0; b < m.num_tasks(); ++b) {
-        add(static_cast<std::uint64_t>(m.at(a, b)));
-      }
-    }
-  }
-  const LearnStats& s = r.stats;
-  for (const std::uint64_t v :
-       {std::uint64_t{s.periods_processed}, std::uint64_t{s.messages_processed},
-        std::uint64_t{s.peak_hypotheses}, s.hypotheses_created, s.merges,
-        s.unexplained_messages}) {
-    add(v);
-  }
-  for (const std::size_t n : s.frontier_after_period) add(n);
-  return h;
-}
-
 TEST(BoundedListDigest, GmTraceResultMatchesLinearScanKernel) {
   // bench::gm_trace(): the E2 trace (GM case study, 27 periods, seed 7).
   SimConfig cfg;
@@ -246,7 +221,7 @@ TEST(BoundedListDigest, GmTraceResultMatchesLinearScanKernel) {
   for (const auto& p : pinned) {
     const LearnResult r = learn_heuristic(trace, p.bound);
     EXPECT_EQ(r.stats.merges, p.merges) << "bound " << p.bound;
-    EXPECT_EQ(digest(r), p.digest) << "bound " << p.bound;
+    EXPECT_EQ(test::learn_digest(r), p.digest) << "bound " << p.bound;
   }
 }
 

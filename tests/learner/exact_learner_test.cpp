@@ -1,11 +1,12 @@
 // Exact-learner specifics: failure modes, dedup, instrumentation, and
-// dominance pruning (results must be identical with and without it).
+// digests of its results pinned across dedup changes.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "core/exact_learner.hpp"
 #include "gen/random_model.hpp"
 #include "gen/scenarios.hpp"
+#include "support/learn_digest.hpp"
 
 namespace bbmg {
 namespace {
@@ -108,49 +109,49 @@ TEST(ExactLearner, RepeatedIdenticalPeriodsConverge) {
   }
 }
 
-class DominancePruning : public ::testing::TestWithParam<std::uint64_t> {};
+// -- pinned results -----------------------------------------------------------
 
-TEST_P(DominancePruning, ResultsIdenticalWithAndWithout) {
+/// The 5-task random traces of E3 (seed 3) and of the seeded sweep below.
+Trace random_trace(std::uint64_t model_seed, double density,
+                   std::size_t periods, std::uint64_t trace_seed) {
   RandomModelParams params;
   params.num_tasks = 5;
   params.num_layers = 3;
-  params.extra_edge_density = 0.25;
-  params.seed = GetParam();
-  const Trace trace =
-      idealized_trace(random_model(params), 6, GetParam() * 7 + 3);
-
-  ExactConfig plain;
-  plain.max_frontier = 100000;
-  ExactConfig pruned = plain;
-  pruned.dominance_pruning = true;
-
-  LearnResult a;
-  LearnResult b;
-  try {
-    a = learn_exact(trace, plain);
-    b = learn_exact(trace, pruned);
-  } catch (const Error&) {
-    GTEST_SKIP() << "frontier exploded for this seed";
-  }
-  ASSERT_EQ(a.hypotheses.size(), b.hypotheses.size());
-  for (const auto& h : a.hypotheses) {
-    bool found = false;
-    for (const auto& x : b.hypotheses) found |= (x == h);
-    EXPECT_TRUE(found);
-  }
-  // Pruning can only shrink the peak frontier.
-  EXPECT_LE(b.stats.peak_hypotheses, a.stats.peak_hypotheses);
+  params.extra_edge_density = density;
+  params.seed = model_seed;
+  return idealized_trace(random_model(params), periods, trace_seed);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DominancePruning,
+/// Digest of learn_exact on `trace` (max_frontier 100000).
+std::uint64_t exact_digest(const Trace& trace) {
+  ExactConfig cfg;
+  cfg.max_frontier = 100000;
+  return test::learn_digest(learn_exact(trace, cfg));
+}
+
+// Pins recorded from the learner that deduplicated on an FNV content hash.
+
+TEST(ExactLearnerDigest, E3TracesMatchPinnedKernel) {
+  // E3's paper-4t-27p and rand-5t-12p rows.
+  EXPECT_EQ(exact_digest(idealized_trace(paper_example_model(), 27, 5)),
+            0xa1c1edb33b3b3d47ull);
+  EXPECT_EQ(exact_digest(random_trace(3, 0.2, 12, 5)), 0x1bb5291057e81657ull);
+}
+
+class ExactLearnerDigest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ExactLearnerDigest, SeededTraceMatchesPinnedKernel) {
+  constexpr std::uint64_t kPinned[] = {
+      0x8192bacc38c73942ull, 0x7417c3c70e88686dull, 0x7b209f66c40a7e3eull,
+      0x54996827aca91d5eull, 0x54996827aca91d5eull, 0x8192bacc38c73942ull,
+      0xfcbb8bc0d5c7a901ull, 0xf44eb1cb16d72bf6ull};
+  const std::uint64_t seed = GetParam();
+  EXPECT_EQ(exact_digest(random_trace(seed, 0.25, 6, seed * 7 + 3)),
+            kPinned[seed - 1]);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ExactLearnerDigest,
                          ::testing::Range<std::uint64_t>(1, 9));
-
-TEST(DominancePruning, PaperExampleUnchanged) {
-  ExactConfig pruned;
-  pruned.dominance_pruning = true;
-  const LearnResult r = learn_exact(paper_example_trace(), pruned);
-  EXPECT_EQ(r.hypotheses.size(), 5u);
-}
 
 }  // namespace
 }  // namespace bbmg
