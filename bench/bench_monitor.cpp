@@ -262,15 +262,12 @@ int main() {
 
   const int drain = supervisor.terminate_all();
 
-  // With instrumentation compiled out nothing is scraped, so the page
-  // gate only binds in BBMG_OBS=ON builds; overhead always binds.
-  const bool efficacy_ok = !obs::kEnabled || (paged && recovery_ok);
+  const bool efficacy_ok = paged && recovery_ok;
   const bool fleet_ok = baseline.ok() && incident_run.ok();
 
   std::ostringstream doc;
   doc << "{\n"
       << "  \"bench\": \"monitor\",\n"
-      << "  \"enabled\": " << (obs::kEnabled ? "true" : "false") << ",\n"
       << "  \"cluster\": {\"shards\": 2, \"followers\": true},\n"
       << "  \"baseline\": {\"deployments\": " << fcfg.deployments
       << ", \"periods\": " << baseline.periods_sent

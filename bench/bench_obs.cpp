@@ -26,12 +26,9 @@
 //   (f) E16, allocation attribution: price the thread-local note_alloc/
 //       note_free pair and attribute it to the heap churn the (b) ingest
 //       actually performed (the session's VspaceSnapshot alloc counters).
-//       Must stay below 2% of the ingest wall time; with
-//       -DBBMG_ALLOC_TRACK=OFF the churn reads zero and the gate passes
-//       trivially.
-// In a -DBBMG_OBS=OFF build the primitives compile to no-ops; the bench
-// still runs, reports ~zero costs and "enabled": false, and the budget
-// check passes trivially.  Output goes to stdout and BENCH_obs.json.
+//       Must stay below 2% of the ingest wall time; in sanitizer builds
+//       (no shim) the churn reads zero and the gate passes trivially.
+// Output goes to stdout and BENCH_obs.json.
 #include <cstdio>
 #include <map>
 #include <utility>
@@ -156,8 +153,7 @@ int main() {
   const bool full = bench::full_scale();
   const std::size_t micro_iters = full ? 50'000'000 : 5'000'000;
 
-  bench::heading("E10: observability overhead (BBMG_OBS=" +
-                 std::string(obs::kEnabled ? "ON" : "OFF") + ")");
+  bench::heading("E10: observability overhead");
 
   // ---- (a) per-primitive micro costs -------------------------------------
   obs::MetricsRegistry bench_registry;
@@ -223,8 +219,7 @@ int main() {
   const double overhead_ns =
       static_cast<double>(ops.counter_ops + gauge_ops) * counter_ns +
       static_cast<double>(ops.histogram_ops) * observe_ns;
-  const double overhead_pct =
-      obs::kEnabled ? overhead_ns / (ingest_ms * 1e6) * 100.0 : 0.0;
+  const double overhead_pct = overhead_ns / (ingest_ms * 1e6) * 100.0;
   const double events_per_sec =
       static_cast<double>(events_total * rounds) / (ingest_ms / 1e3);
 
@@ -271,9 +266,7 @@ int main() {
   const double trace_overhead_ns =
       static_cast<double>(trace_spans) * span_ring_ns;
   const double trace_pct =
-      obs::kEnabled && traced_ms > 0.0
-          ? trace_overhead_ns / (traced_ms * 1e6) * 100.0
-          : 0.0;
+      traced_ms > 0.0 ? trace_overhead_ns / (traced_ms * 1e6) * 100.0 : 0.0;
   const bool trace_within_budget = trace_pct < kTraceBudgetPct;
 
   std::printf("\ntraced ingest: %zu periods in %.1f ms — %llu spans "
@@ -339,8 +332,7 @@ int main() {
       profiled_ns > 0 ? static_cast<double>(named_ns) /
                             static_cast<double>(profiled_ns)
                       : 0.0;
-  // OFF builds profile nothing; the gate only has meaning with obs on.
-  const bool phases_ok = !obs::kEnabled || attributed >= 0.90;
+  const bool phases_ok = attributed >= 0.90;
   std::printf("attributed to named phases: %.1f%% (floor 90%%)\n",
               attributed * 100.0);
 
@@ -359,7 +351,7 @@ int main() {
   const std::uint64_t total_periods =
       static_cast<std::uint64_t>(rounds * periods.size());
   const std::uint64_t sampled_periods =
-      obs::kEnabled ? total_periods / obs::kDefaultProfilerStride : 0;
+      total_periods / obs::kDefaultProfilerStride;
   const double perf_overhead_ns =
       static_cast<double>(sampled_periods) * stamps_per_unit * perf_read_ns;
   const double perf_pct =
@@ -399,7 +391,6 @@ int main() {
   std::ostringstream doc;
   doc << "{\n"
       << "  \"bench\": \"obs\",\n"
-      << "  \"enabled\": " << (obs::kEnabled ? "true" : "false") << ",\n"
       << "  \"micro_ns\": {\"counter_inc\": " << counter_ns
       << ", \"counter_inc_contended4\": " << contended_ns
       << ", \"histogram_observe\": " << observe_ns

@@ -8,10 +8,10 @@
 // branching factor offered per message (candidate pairs) and the candidate
 // scan length (hypotheses x candidates, the work the branching loop
 // actually performs).  These are the numbers the planned hot-path rewrite
-// must move, so they are built on the unregistered atomic primitives
-// (AtomicCounter/AtomicMax + plain atomics), which keep counting with
-// BBMG_OBS=OFF — the VspaceRequest wire surface and `bbmg_client
-// vspace` behave identically in both builds.
+// must move.  They are per learner, not process-wide, so they are built on
+// the unregistered atomic primitives (AtomicCounter/AtomicMax + plain
+// atomics) and served over the VspaceRequest wire surface (`bbmg_client
+// vspace`) rather than through the metrics registry.
 //
 // Writers: the owning learner's worker thread.  Readers: any thread (the
 // serve layer snapshots while the worker learns); every cell is an

@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "monitor/monitor_metrics.hpp"
+#include "obs/process_metrics.hpp"
 
 namespace bbmg::monitor {
 
@@ -146,8 +147,7 @@ void Monitor::serve_connection(int fd) {
         }
         case FrameType::MetricsRequest: {
           (void)MetricsRequestMsg::decode(*frame);
-          MetricsResponseMsg reply;
-          reply.snapshot = obs::MetricsRegistry::instance().snapshot();
+          const MetricsResponseMsg reply{obs::scrape_snapshot()};
           net::write_frame(fd, reply.to_frame());
           break;
         }

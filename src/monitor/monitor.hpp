@@ -5,7 +5,8 @@
 //
 // The monitor is itself a wire-protocol peer: an optional listener
 // answers Hello, HealthRequest (the latest evaluated verdict),
-// MetricsRequest (the monitor's own registry — the watcher is watchable),
+// MetricsRequest (the monitor's own registry plus its process gauges, the
+// same scrape a serving daemon replies with — the watcher is watchable),
 // and politely errors everything else.  bbmg_client health / fleet tooling
 // talk to this port exactly like they talk to a serving daemon.
 #pragma once

@@ -1,8 +1,8 @@
 // Thread-local allocation attribution (DESIGN.md "Performance
 // observability").
 //
-// When built with -DBBMG_ALLOC_TRACK=1 (the default; CMake forces it off
-// under sanitizers, whose interceptors own the allocator), this TU replaces
+// When built with -DBBMG_ALLOC_TRACK=1 (CMake sets it unless BBMG_SANITIZE
+// is configured: sanitizer interceptors own the allocator), this TU replaces
 // the global operator new/delete set with a shim that does exactly two
 // plain thread_local increments per allocation and then forwards to
 // malloc/free.  No atomics, no locks, no size classes: the counters are

@@ -16,10 +16,6 @@
 // also appended to the crash flight recorder's ring
 // (obs/flight_recorder.hpp), so a postmortem dump always ends with the
 // most recent structured events.
-//
-// Logging is diagnostics, not hot-path accounting — it stays available in
-// BBMG_OBS=OFF builds (the compile-time gate covers metrics and spans;
-// operators still need error lines from a lean build).
 #pragma once
 
 #include <cstdint>

@@ -122,4 +122,9 @@ void refresh_process_metrics() {
   }
 }
 
+MetricsSnapshot scrape_snapshot() {
+  refresh_process_metrics();
+  return MetricsRegistry::instance().snapshot();
+}
+
 }  // namespace bbmg::obs

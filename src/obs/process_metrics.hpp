@@ -11,13 +11,15 @@
 // (CPU is exported in milliseconds so the counter stays integral; the
 // conventional *_cpu_seconds_total reading is value / 1000.)
 //
-// Values are point-in-time, so they are refreshed lazily: the server calls
-// refresh_process_metrics() while handling a MetricsRequest, right before
-// taking the snapshot.  Off Linux, read_process_self_stats() reports
-// ok == false and the gauges stay zero.
+// Values are point-in-time, so they are refreshed lazily: every daemon
+// answers a MetricsRequest with scrape_snapshot(), which refreshes them
+// right before taking the snapshot.  Off Linux, read_process_self_stats()
+// reports ok == false and the gauges stay zero.
 #pragma once
 
 #include <cstdint>
+
+#include "obs/metrics.hpp"
 
 namespace bbmg::obs {
 
@@ -37,5 +39,10 @@ struct ProcessSelfStats {
 /// are set to the current values; the CPU counter advances by the delta
 /// since the previous refresh.  Thread-safe (scrape-rate mutex).
 void refresh_process_metrics();
+
+/// The process's scrape: refresh_process_metrics(), then a snapshot of
+/// MetricsRegistry::instance().  Every daemon's MetricsRequest handler
+/// replies with this, so each scrape carries the process gauges.
+[[nodiscard]] MetricsSnapshot scrape_snapshot();
 
 }  // namespace bbmg::obs

@@ -93,10 +93,15 @@ PhaseProfiler::PhaseProfiler(const std::string& prefix,
       "denominator, stride-scaled)");
 }
 
+void PhaseProfiler::set_stride(std::uint32_t stride) {
+  BBMG_REQUIRE(stride >= 1, "profiler: stride must be at least 1");
+  stride_.store(stride, std::memory_order_relaxed);
+}
+
 void PhaseProfiler::record(std::size_t phase, const PhaseCost& cost,
                            std::uint64_t calls) {
   if (phase >= slots_.size()) return;
-  const std::uint64_t k = scale();
+  const std::uint64_t k = stride();
   const Slot& slot = slots_[phase];
   slot.ns->inc(cost.ns * k);
   slot.calls->inc(calls * k);
@@ -112,7 +117,7 @@ void PhaseProfiler::record(std::size_t phase, const PhaseCost& cost,
 }
 
 void PhaseProfiler::record_unit(std::uint64_t total_ns) {
-  const std::uint64_t k = scale();
+  const std::uint64_t k = stride();
   units_->inc(k);
   total_ns_->inc(total_ns * k);
 }

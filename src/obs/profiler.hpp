@@ -35,9 +35,6 @@
 // 1/16/256).  Ratios — attributed_fraction(), per-phase shares,
 // ns-per-call — are unaffected because the scale cancels.  bench_obs runs
 // with stride 1 to make the attribution exact rather than estimated.
-//
-// With BBMG_OBS=OFF, sample() returns false, so no unit is ever sampled and
-// no clock, counter group or allocation total is read.
 #pragma once
 
 #include <atomic>
@@ -97,19 +94,13 @@ class PhaseProfiler {
   /// Sampling decision for the next unit of work; true 1-in-stride.  Unit
   /// makes it on construction.
   [[nodiscard]] bool sample() {
-#if BBMG_OBS_ENABLED
     const std::uint32_t stride = stride_.load(std::memory_order_relaxed);
-    if (stride == 0) return false;
     return tick_.fetch_add(1, std::memory_order_relaxed) % stride == 0;
-#else
-    return false;
-#endif
   }
 
-  /// 0 disables sampling entirely; 1 times every unit.
-  void set_stride(std::uint32_t stride) {
-    stride_.store(stride, std::memory_order_relaxed);
-  }
+  /// Time one unit in `stride`; 1 times every unit.  Throws bbmg::Error
+  /// on 0.
+  void set_stride(std::uint32_t stride);
   [[nodiscard]] std::uint32_t stride() const {
     return stride_.load(std::memory_order_relaxed);
   }
@@ -212,13 +203,6 @@ class PhaseProfiler {
   [[nodiscard]] double attributed_fraction() const;
 
  private:
-  /// Stride to scale a record by (>= 1; a concurrent set_stride(0) must not
-  /// zero out an already-sampled unit's record).
-  [[nodiscard]] std::uint64_t scale() const {
-    const std::uint32_t s = stride_.load(std::memory_order_relaxed);
-    return s == 0 ? 1 : s;
-  }
-
   struct Slot {
     std::string name;
     Counter* ns{nullptr};

@@ -5,15 +5,11 @@
 namespace bbmg::obs {
 
 std::uint64_t now_ns() {
-#if BBMG_OBS_ENABLED
   static const auto epoch = std::chrono::steady_clock::now();
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - epoch)
           .count());
-#else
-  return 0;
-#endif
 }
 
 std::uint32_t current_thread_index() {

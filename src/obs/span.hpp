@@ -9,9 +9,6 @@
 // thread by thread.  The ring is mutex-protected: it is a debugging
 // surface that is disabled on the steady-state hot path, so simplicity
 // and TSan-cleanliness win over lock-freedom there.
-//
-// With BBMG_OBS=OFF both the histogram write and the ring append compile
-// to nothing, including the clock reads.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +20,7 @@
 
 namespace bbmg::obs {
 
-/// Monotonic nanoseconds since an arbitrary process-local epoch; 0 when
-/// instrumentation is compiled out.
+/// Monotonic nanoseconds since an arbitrary process-local epoch.
 [[nodiscard]] std::uint64_t now_ns();
 
 struct SpanRecord {
@@ -100,22 +96,12 @@ class SpanRing {
 
 /// RAII stage timer: records into `latency_us` (microseconds) and, when the
 /// ring is enabled, appends a SpanRecord.  A null histogram skips the
-/// histogram write (ring-only span).  Cheap to construct/destroy; with
-/// BBMG_OBS=OFF the whole object is inert.
+/// histogram write (ring-only span).  Cheap to construct/destroy.
 class Span {
  public:
   explicit Span(Histogram* latency_us, const char* name,
                 SpanRing* ring = &SpanRing::instance())
-#if BBMG_OBS_ENABLED
-      : histogram_(latency_us), name_(name), ring_(ring), start_(now_ns()) {
-  }
-#else
-  {
-    (void)latency_us;
-    (void)name;
-    (void)ring;
-  }
-#endif
+      : histogram_(latency_us), name_(name), ring_(ring), start_(now_ns()) {}
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -126,17 +112,14 @@ class Span {
   void finish();
 
  private:
-#if BBMG_OBS_ENABLED
   Histogram* histogram_{nullptr};
   const char* name_{""};
   SpanRing* ring_{nullptr};
   std::uint64_t start_{0};
   bool done_{false};
-#endif
 };
 
 inline void Span::finish() {
-#if BBMG_OBS_ENABLED
   if (done_) return;
   done_ = true;
   const std::uint64_t dur = now_ns() - start_;
@@ -144,7 +127,6 @@ inline void Span::finish() {
   if (ring_ != nullptr && ring_->enabled()) {
     ring_->record(SpanRecord{name_, start_, dur, current_thread_index()});
   }
-#endif
 }
 
 }  // namespace bbmg::obs

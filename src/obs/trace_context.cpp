@@ -7,8 +7,6 @@
 
 namespace bbmg::obs {
 
-#if BBMG_OBS_ENABLED
-
 namespace {
 
 thread_local TraceContext t_current{};
@@ -41,19 +39,9 @@ TraceScope::TraceScope(TraceContext ctx) : saved_(t_current) {
 
 TraceScope::~TraceScope() { t_current = saved_; }
 
-#else  // !BBMG_OBS_ENABLED
-
-std::uint64_t mint_id() { return 0; }
-TraceContext current_trace() { return {}; }
-TraceScope::TraceScope(TraceContext) {}
-TraceScope::~TraceScope() = default;
-
-#endif
-
 std::uint64_t record_stage(SpanRing& ring, const char* name,
                            std::uint64_t start_ns, std::uint64_t end_ns,
                            const TraceContext& ctx, FlowDir flow) {
-#if BBMG_OBS_ENABLED
   if (!ctx.active() || !ring.enabled()) return 0;
   SpanRecord rec;
   rec.name = name;
@@ -66,15 +54,6 @@ std::uint64_t record_stage(SpanRing& ring, const char* name,
   rec.flow = static_cast<std::uint8_t>(flow);
   ring.record(rec);
   return rec.span_id;
-#else
-  (void)ring;
-  (void)name;
-  (void)start_ns;
-  (void)end_ns;
-  (void)ctx;
-  (void)flow;
-  return 0;
-#endif
 }
 
 std::uint64_t record_current_stage(const char* name, std::uint64_t start_ns,

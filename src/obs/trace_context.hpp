@@ -14,9 +14,6 @@
 //   * implicitly, through a thread-local current context (TraceScope) —
 //     so deep layers (the WAL writer's fsync, say) can attribute their
 //     stage spans without threading a parameter through every signature.
-//
-// With BBMG_OBS=OFF minting returns zero and scopes are inert, matching
-// the rest of the obs layer.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +32,7 @@ struct TraceContext {
   [[nodiscard]] bool active() const { return trace_id != 0; }
 };
 
-/// Mint a fresh nonzero 64-bit id (trace or span).  Thread-safe; returns 0
-/// only when instrumentation is compiled out.
+/// Mint a fresh nonzero 64-bit id (trace or span).  Thread-safe.
 [[nodiscard]] std::uint64_t mint_id();
 
 /// The calling thread's current trace context ({0,0} when none is set).
@@ -52,9 +48,7 @@ class TraceScope {
   TraceScope& operator=(const TraceScope&) = delete;
 
  private:
-#if BBMG_OBS_ENABLED
   TraceContext saved_;
-#endif
 };
 
 /// Cross-process link directions for a span's flow event in the Chrome
@@ -65,8 +59,7 @@ enum class FlowDir : std::uint8_t { None = 0, Out = 1, In = 2 };
 /// Record one completed stage span [start_ns, end_ns) under `ctx` into
 /// `ring`: mints the span's own id, sets parent = ctx.span_id, and returns
 /// the minted id so callers can chain children.  No-op (returns 0) when the
-/// context is inactive, the ring is disabled, or instrumentation is
-/// compiled out.
+/// context is inactive or the ring is disabled.
 std::uint64_t record_stage(SpanRing& ring, const char* name,
                            std::uint64_t start_ns, std::uint64_t end_ns,
                            const TraceContext& ctx,

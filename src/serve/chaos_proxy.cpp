@@ -1,5 +1,6 @@
 #include "serve/chaos_proxy.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <memory>
 #include <thread>
@@ -29,6 +30,14 @@ void ChaosProxy::proxy_connection(int client_fd, std::uint64_t index) {
     // (the acceptor closes the client's fd).
     return;
   }
+  {
+    std::lock_guard<std::mutex> lock(upstreams_mu_);
+    if (stopping_) {
+      net::close_socket(upstream);
+      return;
+    }
+    upstreams_.push_back(upstream);
+  }
   // Each connection gets its own chaos RNG stream so concurrent pumps do
   // not share (and race on) one generator.
   net::ChaosConfig conn_config = config_;
@@ -37,6 +46,12 @@ void ChaosProxy::proxy_connection(int client_fd, std::uint64_t index) {
   relay(client_fd, upstream, nullptr);
   // Either relay ending shuts down both sockets, so the other ends too.
   down.join();
+  {
+    // Deregister before closing, so stop() never shuts down a recycled fd.
+    std::lock_guard<std::mutex> lock(upstreams_mu_);
+    upstreams_.erase(
+        std::find(upstreams_.begin(), upstreams_.end(), upstream));
+  }
   net::close_socket(upstream);
 }
 
@@ -64,6 +79,13 @@ void ChaosProxy::relay(int src_fd, int dst_fd, const net::ChaosConfig* chaos) {
   net::shutdown_socket(dst_fd);
 }
 
-void ChaosProxy::stop() { acceptor_.stop(); }
+void ChaosProxy::stop() {
+  {
+    std::lock_guard<std::mutex> lock(upstreams_mu_);
+    stopping_ = true;
+    for (const int fd : upstreams_) net::shutdown_socket(fd);
+  }
+  acceptor_.stop();
+}
 
 }  // namespace bbmg

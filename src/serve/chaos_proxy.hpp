@@ -12,7 +12,10 @@
 // The proxy is a handler on a net::Acceptor: each connection's thread
 // dials upstream and relays client->upstream itself, with one extra
 // thread for upstream->client, and releases both sockets and the extra
-// thread when the relay ends.  A chaos reset (or either side hanging up)
+// thread when the relay ends.  The acceptor's stop() shuts down only the
+// client sockets, so stop() first shuts down every live upstream socket:
+// a relay blocked writing to an upstream that never reads wakes as well.
+// A chaos reset (or either side hanging up)
 // shuts down both sockets, so the failure mode a client sees is an
 // ordinary dead connection that ResilientClient retries through the proxy
 // again.  Per-connection chaos RNGs are derived from config.seed + accept
@@ -20,7 +23,9 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "serve/chaos_transport.hpp"
 #include "serve/net.hpp"
@@ -55,6 +60,10 @@ class ChaosProxy {
   std::string upstream_host_;
   std::uint16_t upstream_port_;
   net::ChaosConfig config_;
+  std::mutex upstreams_mu_;
+  bool stopping_{false};        // guarded by upstreams_mu_
+  std::vector<int> upstreams_;  // live upstream fds, guarded by upstreams_mu_
+  // Last: its connection threads use the members above.
   net::Acceptor acceptor_;
 };
 

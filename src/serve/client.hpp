@@ -164,8 +164,7 @@ class ServeClient {
   void close_session(std::uint32_t session);
 
   /// Fetch the server's process-wide observability snapshot (every
-  /// registered counter, gauge and histogram; all zeros when the server
-  /// was built with BBMG_OBS=OFF).
+  /// registered counter, gauge and histogram).
   [[nodiscard]] obs::MetricsSnapshot fetch_metrics();
 
   /// Pull the server's span ring over the wire.  drain=false copies

@@ -42,18 +42,13 @@ void FrameDecoder::feed(const std::uint8_t* data, std::size_t size) {
   buffer_.insert(buffer_.end(), data, data + size);
 }
 
-void FrameDecoder::set_max_payload(std::size_t cap) {
-  if (cap == 0) return;
-  max_payload_ = cap < kMaxFramePayload ? cap : kMaxFramePayload;
-}
-
 std::optional<Frame> FrameDecoder::next() {
   const std::size_t avail = buffer_.size() - consumed_;
   if (avail < 5) return std::nullopt;
   ByteReader r(buffer_.data() + consumed_, avail);
   const std::uint32_t length = r.read_u32();
-  if (length > max_payload_) {
-    throw FrameTooLarge(length, max_payload_);
+  if (length > kMaxFramePayload) {
+    throw FrameTooLarge(length, kMaxFramePayload);
   }
   const std::uint8_t type = r.read_u8();
   if (type < static_cast<std::uint8_t>(FrameType::Hello) ||

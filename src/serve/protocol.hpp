@@ -108,8 +108,6 @@ inline constexpr std::uint32_t kServeMagic = 0x474d4242u;  // "BBMG"
 /// version is refused.  Bump it whenever any frame layout changes.
 inline constexpr std::uint16_t kServeProtocolVersion = 9;
 /// Frames larger than this are rejected before allocation (garbage guard).
-/// This is the hard upper bound; FrameDecoder::set_max_payload can lower
-/// it per decoder (e.g. a memory-constrained ingest front-end).
 inline constexpr std::size_t kMaxFramePayload = 64u << 20;
 
 /// Typed rejection for a frame whose declared length exceeds the
@@ -186,16 +184,9 @@ class FrameDecoder {
   [[nodiscard]] std::optional<Frame> next();
   [[nodiscard]] std::size_t buffered() const { return buffer_.size() - consumed_; }
 
-  /// Lower the per-frame payload cap below kMaxFramePayload (values above
-  /// the global cap are clamped, 0 keeps the current cap).  Applies to
-  /// frames parsed after the call.
-  void set_max_payload(std::size_t cap);
-  [[nodiscard]] std::size_t max_payload() const { return max_payload_; }
-
  private:
   std::vector<std::uint8_t> buffer_;
   std::size_t consumed_{0};
-  std::size_t max_payload_{kMaxFramePayload};
 };
 
 // -- payload schemas -------------------------------------------------------

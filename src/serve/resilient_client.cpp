@@ -70,8 +70,7 @@ auto ResilientClient::with_retry(Fn&& fn) -> decltype(fn()) {
   for (std::size_t attempt = 0;; ++attempt) {
     // Client-observed RTT of this attempt, reconnect/resume/resend
     // included: this is the latency a caller actually experiences, and the
-    // histogram the monitor's client-rtt SLO burns against.  now_ns() is 0
-    // in BBMG_OBS=OFF builds, where the observe() below is a no-op anyway.
+    // histogram the monitor's client-rtt SLO burns against.
     const std::uint64_t attempt_start_ns = obs::now_ns();
     try {
       ensure_connected();

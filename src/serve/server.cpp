@@ -359,11 +359,7 @@ void Server::serve_connection(int fd) {
         }
         case FrameType::MetricsRequest: {
           (void)MetricsRequestMsg::decode(*frame);
-          // Pull /proc/self into the registry so every scrape carries
-          // fresh RSS/CPU/fd gauges alongside the application metrics.
-          obs::refresh_process_metrics();
-          MetricsResponseMsg reply;
-          reply.snapshot = obs::MetricsRegistry::instance().snapshot();
+          const MetricsResponseMsg reply{obs::scrape_snapshot()};
           net::write_frame(fd, reply.to_frame());
           break;
         }

@@ -191,9 +191,8 @@ class LearningSession {
   RobustOnlineLearner learner_;  // worker thread only, after construction
   std::size_t since_publish_{0};
 
-  // Functional accounting on the always-on atomic primitives (these keep
-  // counting when instrumentation is compiled out — drain() correctness
-  // depends on accepted_).
+  // Functional accounting on the unregistered atomic primitives: drain()
+  // correctness depends on accepted_, which also counts down.
   obs::AtomicCounter accepted_;
   obs::AtomicCounter rejected_;
   std::atomic<bool> closed_{false};

@@ -206,7 +206,7 @@ class SessionManager {
   struct WorkItem {
     std::shared_ptr<LearningSession> session;
     std::vector<Event> events;
-    /// obs::now_ns() at submit; 0 when instrumentation is compiled out.
+    /// obs::now_ns() at submit.
     std::uint64_t enqueue_ns{0};
     /// Causal context of the request that queued this period (inactive for
     /// untraced submissions).

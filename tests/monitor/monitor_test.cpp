@@ -4,6 +4,8 @@
 // manufactures latency incidents, and the report renderers.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -53,32 +55,30 @@ TEST(Monitor, TicksScrapeLocalRegistryIntoStore) {
   lat.observe(20000);
   mon.tick(2000);
 
-  if (obs::kEnabled) {
-    const std::vector<TsSample> samples =
-        mon.store().samples_since("driver", "bbmg_testmon_reqs_total", 0);
-    ASSERT_EQ(samples.size(), 2u);
-    EXPECT_EQ(samples[0].value, 5);
-    EXPECT_EQ(samples[1].value, 10);
-    // Histograms land flattened: count, sum, and cumulative buckets.
-    ASSERT_TRUE(
-        mon.store()
-            .latest("driver", count_series("bbmg_testmon_latency_us"))
-            .has_value());
-    EXPECT_EQ(mon.store()
-                  .latest("driver", count_series("bbmg_testmon_latency_us"))
-                  ->value,
-              2);
-    EXPECT_EQ(
-        mon.store()
-            .latest("driver", bucket_series("bbmg_testmon_latency_us", 1000))
-            ->value,
-        1);
-    EXPECT_EQ(mon.store()
-                  .latest("driver",
-                          inf_bucket_series("bbmg_testmon_latency_us"))
-                  ->value,
-              2);
-  }
+  const std::vector<TsSample> samples =
+      mon.store().samples_since("driver", "bbmg_testmon_reqs_total", 0);
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_EQ(samples[0].value, 5);
+  EXPECT_EQ(samples[1].value, 10);
+  // Histograms land flattened: count, sum, and cumulative buckets.
+  ASSERT_TRUE(
+      mon.store()
+          .latest("driver", count_series("bbmg_testmon_latency_us"))
+          .has_value());
+  EXPECT_EQ(mon.store()
+                .latest("driver", count_series("bbmg_testmon_latency_us"))
+                ->value,
+            2);
+  EXPECT_EQ(
+      mon.store()
+          .latest("driver", bucket_series("bbmg_testmon_latency_us", 1000))
+          ->value,
+      1);
+  EXPECT_EQ(mon.store()
+                .latest("driver",
+                        inf_bucket_series("bbmg_testmon_latency_us"))
+                ->value,
+            2);
 
   const HealthReport report = mon.report();
   EXPECT_EQ(report.evaluated_at_ms, 2000u);
@@ -108,12 +108,9 @@ TEST(Monitor, ScrapesARealServerOverTheWire) {
   EXPECT_EQ(report.endpoints[0].state, EndpointState::Ok);
   EXPECT_EQ(report.endpoints[0].endpoint,
             "127.0.0.1:" + std::to_string(server.port()));
-  if (obs::kEnabled) {
-    // The server's registry reached the store under the target's name.
-    EXPECT_TRUE(mon.store()
-                    .latest("srv", "bbmg_serve_connections_total")
-                    .has_value());
-  }
+  // The server's registry reached the store under the target's name.
+  EXPECT_TRUE(
+      mon.store().latest("srv", "bbmg_serve_connections_total").has_value());
   server.stop();
 }
 
@@ -142,18 +139,36 @@ TEST(Monitor, ServesHealthAndItsOwnMetricsOverTheWire) {
   ASSERT_EQ(report.endpoints.size(), 1u);
   EXPECT_EQ(report.endpoints[0].name, "fleet");
 
-  if (obs::kEnabled) {
-    // The watcher is watchable: MetricsRequest returns the monitor's own
-    // registry, including its scrape counters.
-    const obs::MetricsSnapshot snap = client.fetch_metrics();
-    bool found = false;
-    for (const auto& c : snap.counters) {
-      if (c.name == "bbmg_monitor_scrapes_total") found = c.value > 0;
-    }
-    EXPECT_TRUE(found);
-  }
+  // The watcher is watchable: MetricsRequest returns the monitor's own
+  // registry, including its scrape counters.
+  const obs::MetricsSnapshot snap = client.fetch_metrics();
+  EXPECT_GT(snap.counter_value("bbmg_monitor_scrapes_total"), 0u);
   client.disconnect();
   mon.stop();
+}
+
+// The monitor's scrape carries its process gauges, like a serving
+// daemon's, so a monitor that leaks memory or descriptors is itself
+// pageable.
+TEST(Monitor, MetricsReplyCarriesProcessGauges) {
+  MonitorConfig config;
+  config.listen = true;
+  config.interval_ms = 20;
+  Monitor mon(config);
+  mon.start();
+  ASSERT_GT(mon.port(), 0);
+  ServeClient client;
+  client.connect("127.0.0.1", mon.port());
+  const obs::MetricsSnapshot snap = client.fetch_metrics();
+  client.disconnect();
+  mon.stop();
+
+  const obs::GaugeSample* fds = snap.find_gauge("bbmg_process_open_fds");
+  ASSERT_NE(fds, nullptr);
+  EXPECT_GT(fds->value, 0);
+  const obs::GaugeSample* vm = snap.find_gauge("bbmg_process_vm_bytes");
+  ASSERT_NE(vm, nullptr);
+  EXPECT_GT(vm->value, 0);
 }
 
 // Like the serving daemon, the monitor acknowledges only a Hello at this
@@ -224,12 +239,10 @@ TEST(Monitor, SequentialQueriesReleaseThreadsFdsAndStacks) {
     (void)client.fetch_health();
     client.disconnect();
   });
-  if (obs::kEnabled) {
-    EXPECT_EQ(obs::MetricsRegistry::instance()
-                  .gauge("bbmg_monitor_open_connections")
-                  .value(),
-              0);
-  }
+  EXPECT_EQ(obs::MetricsRegistry::instance()
+                .gauge("bbmg_monitor_open_connections")
+                .value(),
+            0);
   mon.stop();
 }
 
@@ -351,6 +364,39 @@ TEST(ChaosProxy, EndedRelaysReleaseTheirFdsAndThreads) {
   EXPECT_GE(proxy.connections(), 100u);
   proxy.stop();
   server.stop();
+}
+
+// stop() does not wait on the upstream: a relay blocked writing to an
+// upstream that accepts but never reads is woken too.
+TEST(ChaosProxy, StopReturnsPromptlyBehindAStalledUpstream) {
+  // A listener that never calls accept(): the kernel completes the
+  // handshake, then buffers bytes until the receive window closes.
+  const net::Listener upstream = net::listen_tcp(0, 4);
+  ChaosProxy proxy("127.0.0.1", upstream.port, net::ChaosConfig{});
+  const int client = net::connect_tcp("127.0.0.1", proxy.port());
+  net::set_socket_timeout(client, 200);
+  // Write until the client's own send blocks: by then every buffer on the
+  // path is full and the relay is stuck writing upstream.
+  const std::vector<std::uint8_t> chunk(std::size_t{1} << 16, 0x5a);
+  std::size_t sent = 0;
+  while (sent < (std::size_t{256} << 20)) {
+    const ssize_t n = ::send(client, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  EXPECT_GE(sent, std::size_t{1} << 20);
+
+  auto stopped = std::async(std::launch::async, [&proxy] { proxy.stop(); });
+  const bool prompt = stopped.wait_for(std::chrono::seconds(2)) ==
+                      std::future_status::ready;
+  EXPECT_TRUE(prompt) << "stop() blocked behind the stalled upstream";
+  if (!prompt) {
+    // Fail instead of hanging: dropping the upstream end unwedges the relay.
+    net::close_socket(::accept(upstream.fd, nullptr, nullptr));
+  }
+  stopped.wait();
+  net::close_socket(client);
+  net::close_socket(upstream.fd);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Golden tests for the snapshot serializers (obs/exposition.hpp).  The
-// snapshots are constructed literally rather than through a registry, so
-// the goldens hold in BBMG_OBS=OFF builds too — serialization is plain
-// data transformation, independent of the instrumentation gate.
+// snapshots are constructed literally rather than through a registry:
+// serialization is plain data transformation.
 #include <gtest/gtest.h>
 
 #include "obs/exposition.hpp"

@@ -59,9 +59,7 @@ TEST(FlightRecorder, CachedMetricsSnapshotRendersInDump) {
   FlightRecorder& fr = FlightRecorder::instance();
   fr.cache_metrics();
   const std::string dump = fr.render();
-  if (kEnabled) {
-    EXPECT_NE(dump.find("bbmg_flight_test_total 5"), std::string::npos);
-  }
+  EXPECT_NE(dump.find("bbmg_flight_test_total 5"), std::string::npos);
 }
 
 TEST(FlightRecorder, LongLinesAreTruncatedNotDropped) {

@@ -1,7 +1,6 @@
 // Structured JSON-lines logging (obs/log.hpp): line rendering (envelope,
 // escaping, trace correlation), per-site rate limiting with suppressed
-// counts, and the level filter.  Logging is NOT gated on BBMG_OBS — these
-// tests must pass in OFF builds too.
+// counts, and the level filter.
 #include <gtest/gtest.h>
 
 #include <cstdio>

@@ -2,10 +2,6 @@
 // histogram semantics, bucket boundary placement, registration idempotence,
 // and the concurrency contract — N threads of relaxed increments sum
 // exactly once the writers have joined.
-//
-// Tests that assert exact nonzero values are gated on obs::kEnabled: with
-// BBMG_OBS=OFF every update is a no-op by design and the same assertions
-// verify that values stay zero.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -22,7 +18,7 @@ TEST(Metrics, CounterAccumulates) {
   EXPECT_EQ(c.value(), 0u);
   c.inc();
   c.inc(41);
-  EXPECT_EQ(c.value(), kEnabled ? 42u : 0u);
+  EXPECT_EQ(c.value(), 42u);
 }
 
 TEST(Metrics, GaugeSetAddAndRatchet) {
@@ -31,18 +27,18 @@ TEST(Metrics, GaugeSetAddAndRatchet) {
   g.set(10);
   g.add(5);
   g.sub(3);
-  EXPECT_EQ(g.value(), kEnabled ? 12 : 0);
+  EXPECT_EQ(g.value(), 12);
   g.set_max(7);  // below current: no effect
-  EXPECT_EQ(g.value(), kEnabled ? 12 : 0);
+  EXPECT_EQ(g.value(), 12);
   g.set_max(99);
-  EXPECT_EQ(g.value(), kEnabled ? 99 : 0);
+  EXPECT_EQ(g.value(), 99);
 }
 
 TEST(Metrics, GaugeGoesNegative) {
   MetricsRegistry reg;
   Gauge& g = reg.gauge("bbmg_test_depth");
   g.sub(3);
-  EXPECT_EQ(g.value(), kEnabled ? -3 : 0);
+  EXPECT_EQ(g.value(), -3);
 }
 
 TEST(Metrics, RegistrationIsIdempotent) {
@@ -78,18 +74,10 @@ TEST(Metrics, HistogramObserveCountsSumAndBuckets) {
   h.observe(50);
   h.observe(5000);
   const std::vector<std::uint64_t> counts = h.bucket_counts();
-  ASSERT_EQ(counts.size(), 3u);  // two bounds + the +Inf overflow bucket
-  if (kEnabled) {
-    EXPECT_EQ(counts[0], 2u);
-    EXPECT_EQ(counts[1], 1u);
-    EXPECT_EQ(counts[2], 1u);
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.sum(), 5065u);
-  } else {
-    EXPECT_EQ(counts, (std::vector<std::uint64_t>{0, 0, 0}));
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.sum(), 0u);
-  }
+  // Two bounds + the +Inf overflow bucket.
+  EXPECT_EQ(counts, (std::vector<std::uint64_t>{2, 1, 1}));
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_EQ(h.sum(), 5065u);
 }
 
 TEST(Metrics, HistogramBoundsAreSortedAndDeduped) {
@@ -120,9 +108,9 @@ TEST(Metrics, SnapshotFindsMetricsByName) {
   ASSERT_NE(snap.find_gauge("bbmg_b"), nullptr);
   ASSERT_NE(snap.find_histogram("bbmg_c_us"), nullptr);
   EXPECT_EQ(snap.find_counter("bbmg_missing"), nullptr);
-  EXPECT_EQ(snap.counter_value("bbmg_a_total"), kEnabled ? 3u : 0u);
+  EXPECT_EQ(snap.counter_value("bbmg_a_total"), 3u);
   EXPECT_EQ(snap.counter_value("bbmg_missing"), 0u);
-  EXPECT_EQ(snap.find_gauge("bbmg_b")->value, kEnabled ? -7 : 0);
+  EXPECT_EQ(snap.find_gauge("bbmg_b")->value, -7);
 }
 
 TEST(Metrics, SnapshotIsNameSorted) {
@@ -156,8 +144,8 @@ TEST(Metrics, ConcurrentIncrementsSumExactly) {
     });
   }
   for (auto& t : threads) t.join();
-  const std::uint64_t expected =
-      kEnabled ? static_cast<std::uint64_t>(kThreads) * kPerThread : 0u;
+  constexpr std::uint64_t expected =
+      static_cast<std::uint64_t>(kThreads) * kPerThread;
   EXPECT_EQ(c.value(), expected);
   EXPECT_EQ(h.count(), expected);
   std::uint64_t bucket_total = 0;
@@ -166,8 +154,8 @@ TEST(Metrics, ConcurrentIncrementsSumExactly) {
 }
 
 TEST(Metrics, AlwaysOnPrimitivesIgnoreTheGate) {
-  // AtomicCounter/AtomicMax are functional accounting, not
-  // instrumentation: they count in every build.
+  // AtomicCounter/AtomicMax are unregistered functional accounting; unlike
+  // a Counter, an AtomicCounter also counts down.
   AtomicCounter c;
   c.add(2);
   c.add(3);

@@ -1,7 +1,5 @@
 // Tests for the RAII stage timers and the span ring (obs/span.hpp) plus
-// the Chrome trace export (obs/trace_export.hpp).  Span behaviour is gated
-// on obs::kEnabled: with BBMG_OBS=OFF a Span is inert, the clock reads
-// zero, and the ring stays empty.
+// the Chrome trace export (obs/trace_export.hpp).
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -20,7 +18,7 @@ TEST(Span, RecordsIntoHistogram) {
   {
     Span span(&h, "test.stage", /*ring=*/nullptr);
   }
-  EXPECT_EQ(h.count(), kEnabled ? 1u : 0u);
+  EXPECT_EQ(h.count(), 1u);
 }
 
 TEST(Span, FinishIsIdempotent) {
@@ -29,7 +27,7 @@ TEST(Span, FinishIsIdempotent) {
   Span span(&h, "test.stage", /*ring=*/nullptr);
   span.finish();
   span.finish();  // second call must not double-record
-  EXPECT_EQ(h.count(), kEnabled ? 1u : 0u);
+  EXPECT_EQ(h.count(), 1u);
 }
 
 TEST(Span, RingOnlyRecordsWhenEnabled) {
@@ -38,13 +36,9 @@ TEST(Span, RingOnlyRecordsWhenEnabled) {
   EXPECT_TRUE(ring.records().empty());
   ring.set_enabled(true);
   { Span span(nullptr, "on", &ring); }
-  if (kEnabled) {
-    const auto records = ring.records();
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_STREQ(records[0].name, "on");
-  } else {
-    EXPECT_TRUE(ring.records().empty());
-  }
+  const auto records = ring.records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_STREQ(records[0].name, "on");
 }
 
 TEST(SpanRing, OverwritesOldestWhenFull) {

@@ -1,6 +1,5 @@
 // Causal trace context (obs/trace_context.hpp): id minting, the
-// thread-local TraceScope, and record_stage's parent/child wiring.  All
-// behaviour is gated on obs::kEnabled like the rest of the span layer.
+// thread-local TraceScope, and record_stage's parent/child wiring.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -14,10 +13,6 @@ namespace bbmg::obs {
 namespace {
 
 TEST(TraceContext, MintedIdsAreNonzeroAndDistinct) {
-  if (!kEnabled) {
-    EXPECT_EQ(mint_id(), 0u);
-    return;
-  }
   std::set<std::uint64_t> ids;
   for (int i = 0; i < 1000; ++i) {
     const std::uint64_t id = mint_id();
@@ -28,7 +23,6 @@ TEST(TraceContext, MintedIdsAreNonzeroAndDistinct) {
 }
 
 TEST(TraceContext, MintedIdsAreDistinctAcrossThreads) {
-  if (!kEnabled) return;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 500;
   std::vector<std::vector<std::uint64_t>> per_thread(kThreads);
@@ -49,27 +43,18 @@ TEST(TraceContext, ScopeSetsAndRestoresNested) {
   EXPECT_FALSE(current_trace().active());
   {
     TraceScope outer({11, 22});
-    if (kEnabled) {
-      EXPECT_EQ(current_trace().trace_id, 11u);
-      EXPECT_EQ(current_trace().span_id, 22u);
-    } else {
-      EXPECT_FALSE(current_trace().active());
-    }
+    EXPECT_EQ(current_trace().trace_id, 11u);
+    EXPECT_EQ(current_trace().span_id, 22u);
     {
       TraceScope inner({33, 44});
-      if (kEnabled) {
-        EXPECT_EQ(current_trace().trace_id, 33u);
-      }
+      EXPECT_EQ(current_trace().trace_id, 33u);
     }
-    if (kEnabled) {
-      EXPECT_EQ(current_trace().trace_id, 11u);
-    }
+    EXPECT_EQ(current_trace().trace_id, 11u);
   }
   EXPECT_FALSE(current_trace().active());
 }
 
 TEST(RecordStage, ChildCarriesParentAndTraceId) {
-  if (!kEnabled) return;
   SpanRing ring(16);
   ring.set_enabled(true);
   const TraceContext ctx{mint_id(), mint_id()};
@@ -88,7 +73,6 @@ TEST(RecordStage, ChildCarriesParentAndTraceId) {
 }
 
 TEST(RecordStage, ChainsChildrenThroughReturnedIds) {
-  if (!kEnabled) return;
   SpanRing ring(16);
   ring.set_enabled(true);
   const TraceContext root{mint_id(), mint_id()};
@@ -113,7 +97,6 @@ TEST(RecordStage, InactiveContextOrDisabledRingIsANoOp) {
 }
 
 TEST(RecordStage, CurrentStageUsesTheThreadLocalContext) {
-  if (!kEnabled) return;
   SpanRing& ring = SpanRing::instance();
   const bool was_enabled = ring.enabled();
   ring.set_enabled(true);

@@ -64,7 +64,6 @@ Trace scenario(std::uint64_t seed) {
 class LearnerPhaseProfile : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(LearnerPhaseProfile, PhasesAccountForEveryNanosecondCallAndAlloc) {
-  if (!obs::kEnabled) GTEST_SKIP() << "BBMG_OBS=OFF: nothing is profiled";
   using P = LearnerPhase;
   const auto idx = [](P phase) { return static_cast<std::size_t>(phase); };
 
@@ -134,7 +133,6 @@ INSTANTIATE_TEST_SUITE_P(Bounds, LearnerPhaseProfile,
                          ::testing::Values(std::size_t{1}, std::size_t{16}));
 
 TEST(LearnerPhaseNames, RegisteredNamesArePinned) {
-  if (!obs::kEnabled) GTEST_SKIP() << "BBMG_OBS=OFF: the registry is inert";
   (void)learner_profiler();
 
   std::set<std::string> expected = {"bbmg_learner_profiled_units_total",

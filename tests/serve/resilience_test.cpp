@@ -31,23 +31,17 @@ TEST(IdleTimeout, SilentConnectionsAreClosedAndCounted) {
   ServeClient client;
   client.connect("127.0.0.1", server.port());
   // Say nothing: the server's receive deadline fires and it hangs up
-  // quietly (a counted idle close, not an error).  The counter is the
-  // prompt signal when instrumentation is compiled in; with BBMG_OBS=OFF
-  // it is a no-op, so fall back to waiting out the window.
+  // quietly (a counted idle close, not an error); the counter is the
+  // prompt signal.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  if (obs::kEnabled) {
-    while (idle_closed_total() == before &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    EXPECT_EQ(idle_closed_total(), before + 1);
-  } else {
-    std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    EXPECT_EQ(idle_closed_total(), before);  // updates compiled out
+  while (idle_closed_total() == before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  // Either way the hang-up must be visible to the client: the connection
-  // is dead, so the next request fails instead of hanging.
+  EXPECT_EQ(idle_closed_total(), before + 1);
+  // The hang-up must be visible to the client: the connection is dead, so
+  // the next request fails instead of hanging.
   EXPECT_THROW((void)client.open_session({"a", "b"}), Error);
   server.stop();
 }

@@ -256,9 +256,7 @@ TEST(ServerRobustness, AcceptLoopSurvivesFdExhaustion) {
   }
   net::close_socket(waiting);
   net::close_socket(waiting_stopped);
-  if (obs::kEnabled) {
-    EXPECT_GT(accept_errors.value(), errors_before);
-  }
+  EXPECT_GT(accept_errors.value(), errors_before);
 
   const Trace trace = gm_trace(9, 2);
   ServeClient client;
@@ -347,7 +345,7 @@ TEST(ServerLifecycle, EndedConnectionsReleaseTheirFdAndThread) {
 // the process-wide metrics snapshot over the wire, and see the learner,
 // serve and queue instrumentation reflect the replay.  The registry is
 // process-global and monotone, so assertions are >= (other tests in this
-// binary also feed it); exact-nonzero checks are gated on obs::kEnabled.
+// binary also feed it).
 TEST(ServerEndToEnd, MetricsRoundTripOverTheWire) {
   ServerConfig config;
   config.manager.workers = 2;
@@ -363,30 +361,24 @@ TEST(ServerEndToEnd, MetricsRoundTripOverTheWire) {
 
   const obs::MetricsSnapshot snap = client.fetch_metrics();
   ASSERT_FALSE(snap.counters.empty());
-  if (obs::kEnabled) {
-    EXPECT_GE(snap.counter_value("bbmg_learner_periods_total"),
-              trace.num_periods());
-    EXPECT_GE(snap.counter_value("bbmg_robust_periods_total"),
-              trace.num_periods());
-    EXPECT_GE(snap.counter_value("bbmg_serve_periods_applied_total"),
-              trace.num_periods());
-    EXPECT_GE(snap.counter_value("bbmg_serve_sessions_opened_total"), 1u);
-    EXPECT_GE(snap.counter_value("bbmg_serve_queries_total"), 1u);
-    EXPECT_GE(snap.counter_value("bbmg_serve_connections_total"), 1u);
-    const obs::HistogramSample* lat =
-        snap.find_histogram("bbmg_serve_enqueue_apply_latency_us");
-    ASSERT_NE(lat, nullptr);
-    EXPECT_GE(lat->count, trace.num_periods());
-    // A drained session's shard queues are empty again.
-    for (const obs::GaugeSample& g : snap.gauges) {
-      if (g.name.rfind("bbmg_serve_queue_depth", 0) == 0) {
-        EXPECT_GE(g.value, 0) << g.name;
-      }
+  EXPECT_GE(snap.counter_value("bbmg_learner_periods_total"),
+            trace.num_periods());
+  EXPECT_GE(snap.counter_value("bbmg_robust_periods_total"),
+            trace.num_periods());
+  EXPECT_GE(snap.counter_value("bbmg_serve_periods_applied_total"),
+            trace.num_periods());
+  EXPECT_GE(snap.counter_value("bbmg_serve_sessions_opened_total"), 1u);
+  EXPECT_GE(snap.counter_value("bbmg_serve_queries_total"), 1u);
+  EXPECT_GE(snap.counter_value("bbmg_serve_connections_total"), 1u);
+  const obs::HistogramSample* lat =
+      snap.find_histogram("bbmg_serve_enqueue_apply_latency_us");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_GE(lat->count, trace.num_periods());
+  // A drained session's shard queues are empty again.
+  for (const obs::GaugeSample& g : snap.gauges) {
+    if (g.name.rfind("bbmg_serve_queue_depth", 0) == 0) {
+      EXPECT_GE(g.value, 0) << g.name;
     }
-  } else {
-    // OFF build: the wire surface works identically, all values read zero.
-    EXPECT_EQ(snap.counter_value("bbmg_learner_periods_total"), 0u);
-    EXPECT_EQ(snap.counter_value("bbmg_serve_periods_applied_total"), 0u);
   }
 
   client.close_session(session);
